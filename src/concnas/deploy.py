@@ -15,6 +15,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -55,15 +56,37 @@ class GroupedDag:
     input_group: int
     output_group: int
 
+    @cached_property
+    def _lpt_order(self) -> Tuple[int, ...]:
+        """Groups to place, heaviest first, ties to the lowest id; the
+        input and output groups are placed by rule."""
+        w = self.group_weights
+        terminal = (self.input_group, self.output_group)
+        return tuple(sorted((g for g in range(len(self.groups)) if g not in terminal), key=lambda g: (-w[g], g)))
+
+    @cached_property
+    def _sim_plan(self) -> Tuple[tuple, Tuple[int, ...], Tuple[int, ...]]:
+        """Static schedule inputs, derived from ``arch`` alone: per vertex
+        its (successor, edge bytes) pairs in edge order, its predecessor
+        count, and its ready-queue key ``depth * n + v``, which orders
+        like ``(depth, v)``."""
+        dag = self.arch.dag
+        n = dag.n_vertices
+        nbytes = self.arch.per_edge_bytes
+        succ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        n_pred = [0] * n
+        for u, v in dag.edges:
+            succ[u].append((v, nbytes[(u, v)]))
+            n_pred[v] += 1
+        keys = tuple(d * n + v for v, d in enumerate(vertex_depths(dag)))
+        return tuple(map(tuple, succ)), tuple(n_pred), keys
+
 @dataclass(frozen=True)
 class Placement:
     unit_of_group: Tuple[int, ...]
     n_units: int
     merge_unit: int
     dedicated_merge_unit: bool
-
-    def unit_of_vertex(self, gd: GroupedDag, v: int) -> int:
-        return self.unit_of_group[gd.group_of[v]]
 
 @dataclass(frozen=True)
 class SimResult:
@@ -128,15 +151,11 @@ def place_greedy(gd: GroupedDag, n_units: int, dedicated_merge_unit: bool = Fals
         raise ValueError(f"need at least one unit, got {n_units}")
     merge_unit = n_units if dedicated_merge_unit else 0
     unit_of = [0] * len(gd.groups)
-    load = [0] * n_units
-    order = sorted(
-        (g for g in range(len(gd.groups)) if g not in (gd.input_group, gd.output_group)),
-        key=lambda g: (-gd.group_weights[g], g),
-    )
-    for g in order:
-        dest = min(range(n_units), key=lambda u: (load[u], u))
+    loads = [(0, u) for u in range(n_units)]  # a heap: least load, then lowest unit
+    for g in gd._lpt_order:
+        load, dest = loads[0]
         unit_of[g] = dest
-        load[dest] += gd.group_weights[g]
+        heapq.heapreplace(loads, (load + gd.group_weights[g], dest))
     unit_of[gd.input_group] = COMMON_UNIT
     unit_of[gd.output_group] = merge_unit
     return Placement(
@@ -186,106 +205,105 @@ def simulate(
     latency plus bytes over bandwidth; same-unit and replicated-input
     hand-offs are free.  The makespan is the completion of the output
     gather.
+
+    The static plan (successors with their edge bytes, predecessor
+    counts and vertex depths) is computed once per ``GroupedDag`` and
+    shared by every placement simulated on it.
     """
-    arch = gd.arch
-    dag = arch.dag
     if len(placement.unit_of_group) != len(gd.groups):
         raise ValueError("placement does not cover every group")
-    succ = dag.successors()
-    pred = dag.predecessors()
-    depths = vertex_depths(dag)
-    unit_of = [placement.unit_of_vertex(gd, v) for v in range(dag.n_vertices)]
-    compute = [f / params.flops_per_time for f in arch.vertex_flops]
+    succ, n_pred, ready_key = gd._sim_plan
+    dag = gd.arch.dag
+    n = dag.n_vertices
+    output = dag.output_vertex
+    compute = [f / params.flops_per_time for f in gd.arch.vertex_flops]
+    n_total = placement.n_units + (1 if placement.dedicated_merge_unit else 0)
 
-    missing = [len(pred[v]) for v in range(dag.n_vertices)]
-    ready_pool: Dict[int, List[Tuple[int, int]]] = {}
-    unit_free: Dict[int, float] = {}
-    link_free: Dict[Tuple[int, int], float] = {}
-    finish_at: List[Optional[float]] = [None] * dag.n_vertices
-    busy: Dict[int, float] = {}
+    # Unit state lives in lists indexed by slot = unit - low, which keeps
+    # the units' order.  The replicated input's slot is never dispatched;
+    # a unit past n_total runs but is left out of unit_busy.
+    unit_of = [placement.unit_of_group[g] for g in gd.group_of]
+    low = min(0, *unit_of)
+    slot = [u - low for u in unit_of]
+    common = COMMON_UNIT - low
+    n_slots = max(n_total, max(unit_of) + 1) - low
+    ready: List[List[int]] = [[] for _ in range(n_slots)]
+    unit_free = [0.0] * n_slots
+    busy = [0.0] * n_slots
+    link_free = [0.0] * (n_slots * n_slots)
+    missing = list(n_pred)
+    gather_free = not params.include_gather
+    latency, bandwidth = params.link_latency, params.bytes_per_time
     trace: List[tuple] = []
     transfers = 0
     bytes_moved = 0
+    out_time: Optional[float] = None
 
-    events: List[Tuple[float, int, str, tuple]] = []
-    seq = 0
-
-    def push(t: float, tag: str, data: tuple) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, data))
-        seq += 1
-
-    def mark_ready(v: int) -> None:
-        u = unit_of[v]
-        ready_pool.setdefault(u, [])
-        heapq.heappush(ready_pool[u], (depths[v], v))
-
-    def complete(v: int, t: float) -> None:
-        nonlocal transfers, bytes_moved
-        finish_at[v] = t
-        src = unit_of[v]
-        for w in succ[v]:
-            dst = unit_of[w]
-            free_hop = (
-                src == COMMON_UNIT
-                or src == dst
-                or (w == dag.output_vertex and not params.include_gather)
-            )
-            if free_hop:
-                push(t, "arrive", (w,))
-            else:
-                nbytes = arch.per_edge_bytes[(v, w)]
-                link = (src, dst)
-                start = max(t, link_free.get(link, 0.0))
-                done = start + params.link_latency + nbytes / params.bytes_per_time
+    # Events are (time, seq, code): code v >= 0 completes vertex v, code ~w
+    # delivers a transfer to w.  Free hand-offs are applied inline: an
+    # arrival only counts down and queues, so its order within one
+    # timestamp does not matter, while completions keep their (time, seq)
+    # order, which fixes the FIFO order on every link.
+    events: List[Tuple[float, int, int]] = [(0.0, 0, dag.input_vertex)]
+    seq = 1
+    while events:
+        now = events[0][0]
+        dirty: set[int] = set()
+        while events and events[0][0] == now:
+            code = heapq.heappop(events)[2]
+            if code < 0:
+                w = ~code
+                missing[w] -= 1
+                if not missing[w] and slot[w] != common:
+                    heapq.heappush(ready[slot[w]], ready_key[w])
+                    dirty.add(slot[w])
+                continue
+            v = code
+            if v == output:
+                out_time = now
+            src = slot[v]
+            if src != common:
+                dirty.add(src)
+            for w, nbytes in succ[v]:
+                dst = slot[w]
+                if src == common or src == dst or (gather_free and w == output):
+                    missing[w] -= 1
+                    if not missing[w] and dst != common:
+                        heapq.heappush(ready[dst], ready_key[w])
+                        dirty.add(dst)
+                    continue
+                link = src * n_slots + dst
+                start = link_free[link]
+                if not start > now:  # max(now, start) without a call
+                    start = now
+                done = start + latency + nbytes / bandwidth
                 link_free[link] = done
                 transfers += 1
                 bytes_moved += nbytes
                 if keep_trace:
-                    trace.append(("transfer", v, w, src, dst, start, done))
-                push(done, "arrive", (w,))
-
-    push(0.0, "complete", (dag.input_vertex,))
-    while events:
-        now = events[0][0]
-        dirty_units: set[int] = set()
-        while events and events[0][0] == now:
-            _, _, tag, data = heapq.heappop(events)
-            if tag == "complete":
-                v = data[0]
-                complete(v, now)
-                if unit_of[v] != COMMON_UNIT:
-                    dirty_units.add(unit_of[v])
-            else:  # arrive
-                w = data[0]
-                missing[w] -= 1
-                if missing[w] == 0:
-                    mark_ready(w)
-                    dirty_units.add(unit_of[w])
-        for u in sorted(dirty_units):
-            if u == COMMON_UNIT:
+                    trace.append(("transfer", v, w, src + low, dst + low, start, done))
+                heapq.heappush(events, (done, seq, ~w))
+                seq += 1
+        for s in sorted(dirty):
+            pool = ready[s]
+            if not pool or unit_free[s] > now:
                 continue
-            pool = ready_pool.get(u)
-            if not pool or unit_free.get(u, 0.0) > now:
-                continue
-            _, v = heapq.heappop(pool)
+            v = heapq.heappop(pool) % n
             finish = now + compute[v]
-            unit_free[u] = finish
-            busy[u] = busy.get(u, 0.0) + compute[v]
+            unit_free[s] = finish
+            busy[s] += compute[v]
             if keep_trace:
-                trace.append(("compute", v, u, now, finish))
-            push(finish, "complete", (v,))
+                trace.append(("compute", v, s + low, now, finish))
+            heapq.heappush(events, (finish, seq, v))
+            seq += 1
 
-    out_time = finish_at[dag.output_vertex]
     if out_time is None:
         raise ValueError("output vertex never completed; dag or placement inconsistent")
     total_compute = sum(compute)
-    n_total = placement.n_units + (1 if placement.dedicated_merge_unit else 0)
-    unit_busy = tuple(busy.get(u, 0.0) for u in range(n_total))
     return SimResult(
         makespan=out_time,
         speedup_vs_single_unit=(total_compute / out_time) if out_time > 0 else 1.0,
-        unit_busy=unit_busy,
+        unit_busy=tuple(busy[u - low] for u in range(n_total)),
         transfers=transfers,
         bytes_moved=bytes_moved,
         trace=tuple(trace),

@@ -159,7 +159,9 @@ def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
             matched += 1
     if matched == 0:
         return None
+    hint = level.hint
     coarse_of = [-1] * n
+    chint: Optional[List[int]] = [] if hint else None
     next_id = 0
     for v in range(n):
         if coarse_of[v] != -1:
@@ -167,9 +169,10 @@ def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
         coarse_of[v] = next_id
         if mate[v] > v:
             coarse_of[mate[v]] = next_id
+        if chint is not None:
+            chint.append(min(hint[v], hint[mate[v]]) if mate[v] > v else hint[v])
         next_id += 1
     cvw = [0] * next_id
-    chint = [min(level.hint[u] for u in range(n) if coarse_of[u] == c) for c in range(next_id)] if level.hint else None
     for v in range(n):
         cvw[coarse_of[v]] += vw[v]
     merged: Dict[Tuple[int, ...], int] = {}

@@ -1,11 +1,14 @@
 """Chain grouping, LPT placement, balance entropy and the event simulator.
 
 Simulator fixtures are hand-traced schedules over synthetic cost tables;
-the property loops run the real pipeline end to end.
+the property loops run the real pipeline end to end.  The straightforward
+min-scan placement and event loop below are kept as references: the
+library versions must return equal results on every input.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -17,6 +20,7 @@ from concnas.deploy import (
     COMMON_UNIT,
     CostParams,
     Placement,
+    SimResult,
     balance_entropy,
     group_chains,
     place_greedy,
@@ -27,6 +31,120 @@ from concnas.deploy import (
 from helpers import dag_of, empty_graph, path_graph, random_small_graph, synthetic_arch
 
 UNIT_COST = CostParams(flops_per_time=1.0, bytes_per_time=1.0, link_latency=0.0)
+
+
+def reference_place_greedy(gd, n_units, dedicated_merge_unit=False):
+    """LPT by a linear scan for the least-loaded unit, ties to the lowest."""
+    merge_unit = n_units if dedicated_merge_unit else 0
+    unit_of = [0] * len(gd.groups)
+    load = [0] * n_units
+    order = sorted(
+        (g for g in range(len(gd.groups)) if g not in (gd.input_group, gd.output_group)),
+        key=lambda g: (-gd.group_weights[g], g),
+    )
+    for g in order:
+        dest = min(range(n_units), key=lambda u: (load[u], u))
+        unit_of[g] = dest
+        load[dest] += gd.group_weights[g]
+    unit_of[gd.input_group] = COMMON_UNIT
+    unit_of[gd.output_group] = merge_unit
+    return Placement(
+        unit_of_group=tuple(unit_of),
+        n_units=n_units,
+        merge_unit=merge_unit,
+        dedicated_merge_unit=dedicated_merge_unit,
+    )
+
+
+def reference_simulate(gd, placement, params=CostParams(), keep_trace=False):
+    """Event loop that derives everything per call, keys unit state by unit
+    id and sends every hand-off, free or not, through the event heap."""
+    arch = gd.arch
+    dag = arch.dag
+    if len(placement.unit_of_group) != len(gd.groups):
+        raise ValueError("placement does not cover every group")
+    succ = dag.successors()
+    pred = dag.predecessors()
+    depths = vertex_depths(dag)
+    unit_of = [placement.unit_of_group[gd.group_of[v]] for v in range(dag.n_vertices)]
+    compute = [f / params.flops_per_time for f in arch.vertex_flops]
+
+    missing = [len(pred[v]) for v in range(dag.n_vertices)]
+    ready_pool = {}
+    unit_free = {}
+    link_free = {}
+    finish_at = [None] * dag.n_vertices
+    busy = {}
+    trace = []
+    transfers = 0
+    bytes_moved = 0
+    events = []
+    seq = 0
+
+    def push(t, tag, data):
+        nonlocal seq
+        heapq.heappush(events, (t, seq, tag, data))
+        seq += 1
+
+    def complete(v, t):
+        nonlocal transfers, bytes_moved
+        finish_at[v] = t
+        src = unit_of[v]
+        for w in succ[v]:
+            dst = unit_of[w]
+            if src == COMMON_UNIT or src == dst or (w == dag.output_vertex and not params.include_gather):
+                push(t, "arrive", (w,))
+            else:
+                nbytes = arch.per_edge_bytes[(v, w)]
+                link = (src, dst)
+                start = max(t, link_free.get(link, 0.0))
+                done = start + params.link_latency + nbytes / params.bytes_per_time
+                link_free[link] = done
+                transfers += 1
+                bytes_moved += nbytes
+                if keep_trace:
+                    trace.append(("transfer", v, w, src, dst, start, done))
+                push(done, "arrive", (w,))
+
+    push(0.0, "complete", (dag.input_vertex,))
+    while events:
+        now = events[0][0]
+        dirty = set()
+        while events and events[0][0] == now:
+            _, _, tag, (v,) = heapq.heappop(events)
+            if tag == "complete":
+                complete(v, now)
+                if unit_of[v] != COMMON_UNIT:
+                    dirty.add(unit_of[v])
+            else:
+                missing[v] -= 1
+                if missing[v] == 0:
+                    heapq.heappush(ready_pool.setdefault(unit_of[v], []), (depths[v], v))
+                    dirty.add(unit_of[v])
+        for u in sorted(dirty):
+            pool = ready_pool.get(u)
+            if u == COMMON_UNIT or not pool or unit_free.get(u, 0.0) > now:
+                continue
+            _, v = heapq.heappop(pool)
+            finish = now + compute[v]
+            unit_free[u] = finish
+            busy[u] = busy.get(u, 0.0) + compute[v]
+            if keep_trace:
+                trace.append(("compute", v, u, now, finish))
+            push(finish, "complete", (v,))
+
+    out_time = finish_at[dag.output_vertex]
+    if out_time is None:
+        raise ValueError("output vertex never completed; dag or placement inconsistent")
+    n_total = placement.n_units + (1 if placement.dedicated_merge_unit else 0)
+    return SimResult(
+        makespan=out_time,
+        speedup_vs_single_unit=(sum(compute) / out_time) if out_time > 0 else 1.0,
+        unit_busy=tuple(busy.get(u, 0.0) for u in range(n_total)),
+        transfers=transfers,
+        bytes_moved=bytes_moved,
+        trace=tuple(trace),
+    )
 
 
 def placed_by_hand(gd, vertex_units, n_units):
@@ -313,3 +431,77 @@ def test_deterministic_replay():
         gd = group_chains(arch)
         p = place_greedy(gd, 4)
         assert simulate(gd, p) == simulate(gd, p)
+
+
+def test_placement_matches_min_scan_reference():
+    """Real cost tables, and small integer weights where loads often tie."""
+    rng = random.Random(0x51A7)
+    for i in range(60):
+        dag = orient(random_small_graph(rng, max_n=40))
+        if i % 2:
+            arch = synthetic_arch(dag, [rng.randrange(4) for _ in range(dag.n_vertices)])
+        else:
+            arch = elaborate(dag, staging="probabilistic", seed=rng.randrange(2**32))
+        gd = group_chains(arch)
+        for n in range(1, 17):
+            for dedicated in (False, True):
+                assert place_greedy(gd, n, dedicated) == reference_place_greedy(gd, n, dedicated)
+
+
+def test_simulation_matches_reference_event_loop():
+    rng = random.Random(0xE7E7)
+    variants = (
+        CostParams(),
+        CostParams(include_gather=False),
+        CostParams(link_latency=0.0),
+        CostParams(1.0, math.inf, 0.0),
+    )
+    for i in range(40):
+        g = random_small_graph(rng, max_n=40)
+        gd = group_chains(elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32)))
+        params = variants[i % len(variants)]
+        for n in range(1, 17):
+            for dedicated in (False, True):
+                p = place_greedy(gd, n, dedicated)
+                assert simulate(gd, p, params, keep_trace=True) == reference_simulate(gd, p, params, keep_trace=True)
+
+
+def test_simulation_matches_reference_with_simultaneous_events():
+    """Zero-flop merges and blocks, zero-byte edges and zero latency put many
+    completions and arrivals on one timestamp; hand-built placements also
+    use units past n_units."""
+    rng = random.Random(0x5EED)
+    params_grid = (UNIT_COST, CostParams(1.0, math.inf, 0.0, include_gather=False), CostParams(2.0, 3.0, 0.5))
+    for _ in range(150):
+        dag = orient(random_small_graph(rng))
+        flops = [0 if kind == "merge" else rng.choice((0, 1, 2, 5)) for kind in dag.kinds]
+        gd = group_chains(synthetic_arch(dag, flops, {e: rng.choice((0, 1, 3)) for e in dag.edges}))
+        n = rng.randrange(1, 6)
+        units = [rng.randrange(n + 2) for _ in gd.groups]
+        units[gd.input_group] = COMMON_UNIT
+        p = Placement(tuple(units), n, units[gd.output_group], rng.random() < 0.5)
+        for params in params_grid:
+            assert simulate(gd, p, params, keep_trace=True) == reference_simulate(gd, p, params, keep_trace=True)
+
+
+def test_group_on_common_unit_never_runs():
+    dag = dag_of(2, [(0, 1)])
+    gd = group_chains(synthetic_arch(dag, (10, 10, 0, 0)))
+    p = place_greedy(gd, 2)
+    units = list(p.unit_of_group)
+    units[gd.group_of[0]] = COMMON_UNIT
+    bad = Placement(tuple(units), 2, 0, False)
+    for sim in (simulate, reference_simulate):
+        with pytest.raises(ValueError, match="never completed"):
+            sim(gd, bad)
+
+
+def test_unit_past_n_units_runs_outside_unit_busy():
+    dag = dag_of(2, [])
+    gd = group_chains(synthetic_arch(dag, (10, 4, 0, 0)))
+    p = placed_by_hand(gd, {0: 0, 1: 3}, 2)
+    r = simulate(gd, p, UNIT_COST, keep_trace=True)
+    assert r == reference_simulate(gd, p, UNIT_COST, keep_trace=True)
+    assert ("compute", 1, 3, 0.0, 4.0) in r.trace
+    assert r.unit_busy == (10.0, 0.0)
+    assert r.makespan == pytest.approx(10.0)
