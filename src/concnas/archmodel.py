@@ -59,10 +59,6 @@ class BlockSpec:
     scaling_proj: Tuple[int, ...]
 
     @property
-    def has_scaling(self) -> bool:
-        return any(self.scaling_pools) or any(p > 0 for p in self.scaling_proj)
-
-    @property
     def output_shape(self) -> Tuple[int, int]:
         return (self.spatial, self.channels)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -186,9 +187,20 @@ def cmd_gen(view: _View) -> int:
     print(f"wrote {arch_path} {dot_path}")
     return 0
 
+def _check_partition_args(arch: ArchSpec, flag: str, part_counts, eps_values) -> None:
+    """Reject part counts and balance tolerances that ``partition`` refuses."""
+    n = arch.dag.n_vertices
+    for k in part_counts:
+        if not 2 <= k <= n:
+            raise UsageError(f"{flag} must be between 2 and {n} (the DAG's vertex count), got {k}")
+    for eps in eps_values:
+        if not 1.0 <= eps < math.inf:
+            raise UsageError(f"--eps must be finite and at least 1, got {eps}")
+
 def cmd_score(view: _View) -> int:
     arch = _load_or_build_arch(view)
     units = view["units"]
+    _check_partition_args(arch, "--units", units, view["eps"])
     out = _out_dir(view)
     name = view["name"] or "metrics"
     for n in units:
@@ -208,8 +220,10 @@ def cmd_score(view: _View) -> int:
 
 def cmd_partition(view: _View) -> int:
     arch = _load_or_build_arch(view)
+    n_parts, eps = int(view["parts"]), float(view["eps_one"])
+    _check_partition_args(arch, "--parts", (n_parts,), (eps,))
     h = build_hypergraph(arch)
-    p = partition(h, int(view["parts"]), float(view["eps_one"]), seed=int(view["seed"]))
+    p = partition(h, n_parts, eps, seed=int(view["seed"]))
     out = _out_dir(view)
     name = view["name"] or "partition"
     path = out / f"{name}.json"

@@ -13,13 +13,18 @@ and ranked feasible first, and Fiduccia-Mattheyses refinement
 (single-vertex moves picked by exact gain, tentative chains with rollback
 to the best prefix, at most 20 passes per level).  The balance cap is
 hard: refinement never fills a part past it, and projection keeps part
-weights, so a partition that fits stays within the cap.  Results are
-deterministic for a fixed seed.
+weights, so a partition that fits stays within the cap.  Vertex weights
+are non-negative integers, so refinement tests the cap as an integer,
+its floor, and prunes each move's scan with a bound on the gain over
+only the parts a vertex fits in.  Results are deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -44,6 +49,12 @@ class Hypergraph:
     def __post_init__(self):
         if len(self.pins) != len(self.weights):
             raise ValueError("one weight per hyperedge required")
+        if len(self.vertex_weights) != self.n_vertices:
+            raise ValueError("one weight per vertex required")
+        for w in self.vertex_weights:
+            # the partitioner tests its balance cap on integer part weights
+            if not isinstance(w, int) or w < 0:
+                raise ValueError(f"vertex weight is not a non-negative integer: {w!r}")
         for e in self.pins:
             if len(set(e)) != len(e):
                 raise ValueError(f"duplicate pins in hyperedge {e}")
@@ -115,7 +126,7 @@ def load_imbalance(h: Hypergraph, parts: Sequence[int], n_parts: int) -> float:
 class _Level:
     """Mutable working copy of one coarsening level."""
 
-    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve")
+    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve", "inc_w", "by_weight", "sorted_w")
 
     def __init__(self, n, pins, lam, vw, hint, fine_map=None):
         self.n = n
@@ -128,6 +139,9 @@ class _Level:
         for e, pin in enumerate(pins):
             for v in pin:
                 self.ve[v].append(e)
+        self.inc_w = [sum(lam[e] for e in es) for es in self.ve]  # incident hyperedge weight
+        self.by_weight = sorted(range(n), key=lambda v: vw[v])  # for bisect on sorted_w
+        self.sorted_w = [vw[v] for v in self.by_weight]
 
 def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
     """Contract a greedy matching on shared hyperedge weight."""
@@ -278,9 +292,23 @@ def _refine(
     Move gains are kept as pull (edges where the vertex is alone in its
     part) minus push (edges absent from the target part); both update in
     O(1) per affected pin, which keeps a pass linear in total pin count.
+
+    Each move takes the highest gain among targets within the cap, ties
+    to the lowest vertex and then the lowest part.  Weights are integers
+    and ``cap`` is finite, so ``pw + w <= cap`` is tested as
+    ``pw + w <= floor(cap)``.  A vertex is scanned only if
+    ``pull - min_push`` could beat the best gain so far, where
+    ``min_push`` is a lower bound on its push over the parts it fits in.
+    A scan sets the bound exactly; a move lowers it where the true
+    minimum can fall: a push into the destination drops, or the lighter
+    source now admits vertices it barred (found by weight with
+    ``bisect``).
     """
     n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
-    ve = level.ve
+    ve, inc_w = level.ve, level.inc_w
+    by_weight, sorted_w = level.by_weight, level.sorted_w
+    max_w = sorted_w[-1]
+    icap = math.floor(cap)
     counts = [[0] * n_parts for _ in pins]
     for e, pin in enumerate(pins):
         ce = counts[e]
@@ -299,23 +327,25 @@ def _refine(
     neg_inf = -(1 << 62)
 
     for _ in range(max_passes):
-        absent = [[t for t in range(n_parts) if not ce[t]] for ce in counts]
+        touched = [[t for t in range(n_parts) if ce[t]] for ce in counts]
         pull = [0] * n
-        push = [[0] * n_parts for _ in range(n)]
+        push = []
         for v in range(n):
             pv = parts[v]
             acc = 0
-            pu = push[v]
+            pu = [inc_w[v]] * n_parts
             for e in ve[v]:
                 w_e = lam[e]
                 if counts[e][pv] == 1:
                     acc += w_e
-                for t in absent[e]:
-                    pu[t] += w_e
+                for t in touched[e]:
+                    pu[t] -= w_e
             pu[pv] = _OWN_PART
+            push.append(pu)
             pull[v] = acc
-        # lower bound on each row's min push; stale-low is safe for pruning
-        min_push = [min(push[v]) for v in range(n)]
+        # lower bound on each row's min push over the parts that vertex fits
+        # in; stale-low is safe for pruning
+        min_push = [min(pu) for pu in push]
         locked = bytearray(n)
         moves: List[Tuple[int, int, int]] = []
         pass_lam = cur_lam
@@ -329,28 +359,25 @@ def _refine(
                     continue
                 if pull[v] - min_push[v] <= pick_g:
                     continue
-                pv = parts[v]
-                if psize[pv] == 1:
+                if psize[parts[v]] == 1:
                     continue
                 pu = push[v]
-                w_v = vw[v]
-                base = pull[v]
-                mn = pu[0]
+                room = icap - vw[v]
+                mn, mq = _OWN_PART, -1
                 for q in range(n_parts):
                     pq = pu[q]
-                    if pq < mn:
-                        mn = pq
-                    if q == pv:
-                        continue
-                    g = base - pq
-                    if g > pick_g and pw[q] + w_v <= cap:
-                        pick_v, pick_q, pick_g = v, q, g
+                    if pq < mn and pw[q] <= room:
+                        mn, mq = pq, q
                 min_push[v] = mn
+                g = pull[v] - mn
+                if g > pick_g:
+                    pick_v, pick_q, pick_g = v, mq, g
             if pick_v == -1:
                 break
             v, q = pick_v, pick_q
             p = parts[v]
             w_v = vw[v]
+            q_room = icap - pw[q] - w_v  # heaviest vertex that fits in q after the move
             for e in ve[v]:
                 w_e = lam[e]
                 ce = counts[e]
@@ -373,16 +400,22 @@ def _refine(
                     if cq_old == 0:
                         row = push[u]
                         row[q] -= w_e
-                        if row[q] < min_push[u]:
+                        if row[q] < min_push[u] and vw[u] <= q_room:
                             min_push[u] = row[q]
                 ce[p] = cp_old - 1
                 ce[q] = cq_old + 1
+            p_room = icap - pw[p]
             parts[v] = q
             pw[p] -= w_v
             pw[q] += w_v
             psize[p] -= 1
             psize[q] += 1
             locked[v] = 1
+            if max_w > p_room:
+                # vertices weighing (p_room, p_room + w_v] fit in p only now
+                for u in by_weight[bisect_right(sorted_w, p_room):bisect_right(sorted_w, p_room + w_v)]:
+                    if push[u][p] < min_push[u]:
+                        min_push[u] = push[u][p]
             moves.append((v, p, q))
             if pass_lam < best_lam:
                 best_lam = pass_lam
@@ -452,8 +485,8 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
         raise ValueError(f"need at least two parts, got {n_parts}")
     if n_parts > h.n_vertices:
         raise ValueError(f"more parts ({n_parts}) than vertices ({h.n_vertices})")
-    if eps < 1.0:
-        raise ValueError(f"balance tolerance below 1: {eps}")
+    if not 1.0 <= eps < math.inf:
+        raise ValueError(f"balance tolerance must be finite and at least 1: {eps}")
 
     total_w = sum(h.vertex_weights)
     cap = eps * total_w / n_parts

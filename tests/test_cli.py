@@ -61,13 +61,25 @@ def test_broken_config_is_usage_error(tmp_path, capsys):
     assert "usage error" in err
 
 
-def test_too_many_parts_is_invariant_violation(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "partition", "--kind", "er", "--n", "4", "--p", "0.5",
-        "--parts", "10", "--out", str(tmp_path),
-    )
-    assert code == 3
-    assert "invariant violation" in err
+def test_bad_partition_arguments_are_usage_errors(tmp_path, capsys):
+    # the DAG of a 4-vertex graph has 6 vertices: the blocks plus input and output
+    for argv in (
+        ("partition", "--parts", "10"),
+        ("partition", "--parts", "7"),
+        ("partition", "--parts", "1"),
+        ("partition", "--eps", "0.5"),
+        ("partition", "--eps", "inf"),
+        ("score", "--units", "1"),
+        ("score", "--units", "0"),
+        ("score", "--units", "4,7"),
+        ("score", "--eps", "1.1,0.9"),
+        ("score", "--eps", "0.5"),
+    ):
+        code, _, err = run(
+            capsys, *argv, "--kind", "er", "--n", "4", "--p", "0.5", "--out", str(tmp_path)
+        )
+        assert code == 1, argv
+        assert "usage error" in err
 
 
 def test_gen_reruns_byte_identical(tmp_path, capsys):

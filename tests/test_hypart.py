@@ -2,7 +2,10 @@
 
 Every partitioner claim is re-checked against independent recounts; a
 brute-force enumerator over all bipartitions serves as the quality
-oracle at small sizes.
+oracle at small sizes.  The FM refiner that rescans every unpruned
+vertex row before each move, with a bound that ignores the cap, is kept
+below as the reference: the library's ``_refine`` must return equal
+results on every input.
 """
 
 from __future__ import annotations
@@ -11,10 +14,16 @@ import random
 
 import pytest
 
+from concnas import hypart
 from concnas.archmodel import elaborate
 from concnas.dagify import orient
 from concnas.hypart import (
+    _MAX_PASSES,
+    _OWN_PART,
+    _STALL_LIMIT,
     Hypergraph,
+    _Level,
+    _refine,
     build_hypergraph,
     load_imbalance,
     part_weights,
@@ -22,6 +31,9 @@ from concnas.hypart import (
     total_communication,
     write_hmetis,
 )
+from concnas.randgraph import generate
+from concnas.rng import sample_seed
+from concnas.sweep import SweepConfig, generator_config
 from helpers import empty_graph, path_graph, random_small_graph
 
 
@@ -244,6 +256,20 @@ def test_partition_rejects_bad_arguments():
         partition(h, 5, 1.5)
     with pytest.raises(ValueError):
         partition(h, 2, 0.9)
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            partition(h, 2, eps)
+
+
+@pytest.mark.parametrize("weight", [2.0, 2.5, -1, "3"])
+def test_hypergraph_rejects_weight_that_is_not_a_nonnegative_int(weight):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        Hypergraph(n_vertices=2, pins=((0, 1),), weights=(1,), vertex_weights=(1, weight))
+
+
+def test_hypergraph_needs_one_weight_per_vertex():
+    with pytest.raises(ValueError, match="one weight per vertex"):
+        Hypergraph(n_vertices=3, pins=((0, 1),), weights=(1,), vertex_weights=(1, 1))
 
 
 def test_heavy_vertex_forces_best_effort():
@@ -300,3 +326,227 @@ def test_hmetis_export_golden(tmp_path):
     path = tmp_path / "h.hgr"
     write_hmetis(h, path)
     assert path.read_text() == "2 4 11\n11 1 2 3\n4 3 4\n7\n0\n3\n5\n"
+
+
+def reference_refine(level, parts, n_parts, cap, max_passes=_MAX_PASSES):
+    """FM passes whose pruning bound is the row minimum over every other
+    part, so each pick scans the rows of all vertices that the bound
+    cannot rule out, targets with no room included."""
+    n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
+    ve = level.ve
+    counts = [[0] * n_parts for _ in pins]
+    for e, pin in enumerate(pins):
+        ce = counts[e]
+        for v in pin:
+            ce[parts[v]] += 1
+    cur_lam = 0
+    for e in range(len(pins)):
+        cur_lam += lam[e] * (n_parts - counts[e].count(0) - 1)
+    pw = [0] * n_parts
+    psize = [0] * n_parts
+    for v in range(n):
+        pw[parts[v]] += vw[v]
+        psize[parts[v]] += 1
+
+    history = [cur_lam]
+    neg_inf = -(1 << 62)
+
+    for _ in range(max_passes):
+        absent = [[t for t in range(n_parts) if not ce[t]] for ce in counts]
+        pull = [0] * n
+        push = [[0] * n_parts for _ in range(n)]
+        for v in range(n):
+            pv = parts[v]
+            acc = 0
+            pu = push[v]
+            for e in ve[v]:
+                w_e = lam[e]
+                if counts[e][pv] == 1:
+                    acc += w_e
+                for t in absent[e]:
+                    pu[t] += w_e
+            pu[pv] = _OWN_PART
+            pull[v] = acc
+        min_push = [min(push[v]) for v in range(n)]
+        locked = bytearray(n)
+        moves = []
+        pass_lam = cur_lam
+        best_idx = -1
+        best_lam = cur_lam
+        since_best = 0
+        while True:
+            pick_v, pick_q, pick_g = -1, -1, neg_inf
+            for v in range(n):
+                if locked[v]:
+                    continue
+                if pull[v] - min_push[v] <= pick_g:
+                    continue
+                pv = parts[v]
+                if psize[pv] == 1:
+                    continue
+                pu = push[v]
+                w_v = vw[v]
+                base = pull[v]
+                mn = pu[0]
+                for q in range(n_parts):
+                    pq = pu[q]
+                    if pq < mn:
+                        mn = pq
+                    if q == pv:
+                        continue
+                    g = base - pq
+                    if g > pick_g and pw[q] + w_v <= cap:
+                        pick_v, pick_q, pick_g = v, q, g
+                min_push[v] = mn
+            if pick_v == -1:
+                break
+            v, q = pick_v, pick_q
+            p = parts[v]
+            w_v = vw[v]
+            for e in ve[v]:
+                w_e = lam[e]
+                ce = counts[e]
+                cp_old = ce[p]
+                cq_old = ce[q]
+                if cp_old == 1:
+                    pass_lam -= w_e
+                if cq_old == 0:
+                    pass_lam += w_e
+                for u in pins[e]:
+                    if u == v or locked[u]:
+                        continue
+                    pu_part = parts[u]
+                    if pu_part == p and cp_old == 2:
+                        pull[u] += w_e
+                    elif pu_part == q and cq_old == 1:
+                        pull[u] -= w_e
+                    if cp_old == 1:
+                        push[u][p] += w_e
+                    if cq_old == 0:
+                        row = push[u]
+                        row[q] -= w_e
+                        if row[q] < min_push[u]:
+                            min_push[u] = row[q]
+                ce[p] = cp_old - 1
+                ce[q] = cq_old + 1
+            parts[v] = q
+            pw[p] -= w_v
+            pw[q] += w_v
+            psize[p] -= 1
+            psize[q] += 1
+            locked[v] = 1
+            moves.append((v, p, q))
+            if pass_lam < best_lam:
+                best_lam = pass_lam
+                best_idx = len(moves) - 1
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= _STALL_LIMIT:
+                    break
+        if not moves:
+            break
+        for i in range(len(moves) - 1, best_idx, -1):
+            v, p, q = moves[i]
+            for e in ve[v]:
+                ce = counts[e]
+                ce[q] -= 1
+                ce[p] += 1
+            parts[v] = p
+            pw[q] -= vw[v]
+            pw[p] += vw[v]
+            psize[q] -= 1
+            psize[p] += 1
+        if best_idx == -1:
+            break
+        cur_lam = best_lam
+        history.append(cur_lam)
+    return cur_lam, history
+
+
+def random_vertex_weights(rng, n):
+    """Small weights, all zero, or small weights with one heavy outlier."""
+    mode = rng.randrange(4)
+    if mode == 0:
+        return [0] * n
+    vw = [rng.randrange(0, 20) if mode == 1 else rng.choice((0, 1, 3, 40, 700)) for _ in range(n)]
+    if mode == 3:
+        vw[rng.randrange(n)] = 10**7
+    return vw
+
+
+def random_weighted_hypergraph(rng, max_n):
+    n = rng.randrange(3, max_n + 1)
+    pins = []
+    for _ in range(rng.randrange(1, 3 * n)):
+        size = rng.randrange(2, min(n, 6) + 1)
+        pins.append(tuple(sorted(rng.sample(range(n), size))))
+    return Hypergraph(
+        n_vertices=n,
+        pins=tuple(pins),
+        weights=tuple(rng.randrange(1, 10**6) for _ in pins),
+        vertex_weights=tuple(random_vertex_weights(rng, n)),
+    )
+
+
+def sweep_hypergraph(kind, index):
+    """The hypergraph a reference-sweep sample partitions."""
+    cfg = SweepConfig()
+    seed = sample_seed(cfg.master_seed, index)
+    dag = orient(generate(generator_config(cfg, kind, seed)))
+    arch = elaborate(
+        dag,
+        input_shape=(cfg.input_spatial, cfg.input_channels),
+        channel_limit=cfg.channel_limit,
+        staging=cfg.staging,
+        staging_prob=cfg.staging_prob,
+        bytes_per_element=cfg.bytes_per_element,
+        seed=seed,
+    )
+    return build_hypergraph(arch)
+
+
+def test_refine_matches_reference_on_random_levels():
+    rng = random.Random(0x5EF1)
+    for _ in range(1500):
+        h = random_weighted_hypergraph(rng, 40)
+        n = h.n_vertices
+        vw = list(h.vertex_weights)
+        level = _Level(n, [list(p) for p in h.pins], list(h.weights), vw, list(range(n)))
+        n_parts = rng.randrange(2, min(n, 12) + 1)
+        parts = [rng.randrange(n_parts) for _ in range(n)]
+        total = sum(vw)
+        cap = rng.choice(
+            (
+                float(rng.randrange(0, total + 1)),
+                rng.uniform(0.0, 1.5 * total / n_parts),
+                rng.uniform(1.0, 3.7) * total / n_parts,
+                max(max(vw), total / n_parts),
+            )
+        )
+        passes = rng.choice((1, 4, _MAX_PASSES))
+        ref_parts, new_parts = list(parts), list(parts)
+        expected = reference_refine(level, ref_parts, n_parts, cap, passes)
+        assert _refine(level, new_parts, n_parts, cap, passes) == expected, (h, parts, cap)
+        assert new_parts == ref_parts
+
+
+def test_partition_matches_reference_refiner(monkeypatch):
+    rng = random.Random(0x5EF2)
+    cases = []
+    for _ in range(60):
+        h = random_weighted_hypergraph(rng, 129)
+        n_parts = rng.randrange(2, min(h.n_vertices, 16) + 1)
+        for eps in (1.0, rng.uniform(1.0, 1.2), rng.uniform(1.0, 3.7)):
+            cases.append((h, n_parts, eps, rng.randrange(2**32)))
+    cfg = SweepConfig()
+    for kind in cfg.generators:
+        for index in range(2):
+            h = sweep_hypergraph(kind, index)
+            for n_parts in cfg.units:
+                for eps in cfg.eps_grid:
+                    cases.append((h, n_parts, eps, rng.randrange(2**32)))
+    got = [partition(*case) for case in cases]
+    monkeypatch.setattr(hypart, "_refine", reference_refine)
+    for case, p in zip(cases, got):
+        assert partition(*case) == p, case
