@@ -21,7 +21,7 @@ from .randgraph import (
     ring_distance,
 )
 from .dagify import ArchDag, depth_width_histogram, longest_path_length, orient
-from .archmodel import ArchSpec, BlockSpec, block_flops, block_params, edge_bytes, elaborate
+from .archmodel import ArchSpec, BlockSpec, block_flops, block_params, elaborate
 from .hypart import (
     Hypergraph,
     Partition,
@@ -65,7 +65,6 @@ __all__ = [
     "concurrency_score",
     "cs_value",
     "depth_width_histogram",
-    "edge_bytes",
     "elaborate",
     "generate",
     "generate_ba",

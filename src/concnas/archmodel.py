@@ -18,9 +18,8 @@ related.  Costs are exact integer FLOP, parameter and byte counts.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -37,6 +36,35 @@ from .dagify import (
 from .rng import KEY_STAGING, substream
 
 STAGING_MODES = ("greedy", "probabilistic", "uniform")
+
+class ArchFileError(ValueError):
+    """An architecture file that is malformed or disagrees with its rebuild."""
+
+@dataclass(frozen=True)
+class ElaborationConfig:
+    """Settings of ``elaborate`` other than the DAG and the seed, checked
+    at construction."""
+
+    input_spatial: int = 32
+    input_channels: int = 16
+    channel_limit: int = 256
+    staging: str = "probabilistic"
+    staging_prob: float = 0.5
+    bytes_per_element: int = 4
+
+    def __post_init__(self):
+        s0, c0 = self.input_spatial, self.input_channels
+        for name in ("input_spatial", "input_channels", "channel_limit", "bytes_per_element"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if s0 < 1 or c0 < 1:
+            raise ValueError(f"input shape must be positive, got {(s0, c0)}")
+        if self.channel_limit < c0:
+            raise ValueError(f"channel limit {self.channel_limit} below input channels {c0}")
+        if self.staging not in STAGING_MODES:
+            raise ValueError(f"unknown staging mode: {self.staging!r}")
+        if not 0.0 <= self.staging_prob <= 1.0:
+            raise ValueError(f"staging probability outside [0, 1]: {self.staging_prob}")
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -76,25 +104,12 @@ def _front_end_flops(b: BlockSpec) -> int:
         total += 2 * s * s * c
     return total
 
-def block_flops(b: BlockSpec, in_channels: Optional[int] = None) -> int:
-    """Exact FLOP count of one block at its operating spatial size."""
-    if b.kind in (KIND_INPUT, KIND_OUTPUT):
-        return 0
-    c_in = b.in_channels if in_channels is None else in_channels
-    total = _front_end_flops(b)
-    if b.kind == KIND_MERGE:
-        return total
-    s = b.spatial
-    if b.staged:
-        total += s * s * c_in  # staging pool
-    total += s * s * c_in  # relu
-    total += s * s * c_in * 9  # depthwise
-    total += s * s * c_in * b.channels  # pointwise
-    total += s * s * b.channels  # batchnorm
-    return total
-
 def flops_breakdown(b: BlockSpec) -> Dict[str, int]:
-    """Per-term FLOP counts; values sum to ``block_flops(b)``."""
+    """Per-term FLOP counts at the block's operating spatial size.
+
+    ``other`` holds the relu, the staging pool of a staged block and the
+    batchnorm.
+    """
     if b.kind in (KIND_INPUT, KIND_OUTPUT):
         return {"scaling": 0, "depthwise": 0, "pointwise": 0, "other": 0}
     front = _front_end_flops(b)
@@ -106,12 +121,16 @@ def flops_breakdown(b: BlockSpec) -> Dict[str, int]:
     other = s * s * c_in * (2 if b.staged else 1) + s * s * b.channels
     return {"scaling": front, "depthwise": dw, "pointwise": pw, "other": other}
 
-def block_params(b: BlockSpec, in_channels: Optional[int] = None) -> int:
+def block_flops(b: BlockSpec) -> int:
+    """Exact FLOP count of one block: the sum of its breakdown."""
+    return sum(flops_breakdown(b).values())
+
+def block_params(b: BlockSpec) -> int:
     """Learned parameter count: conv weights, batchnorm, projections,
     one weighted-sum scalar per input edge."""
     if b.kind in (KIND_INPUT, KIND_OUTPUT):
         return 0
-    c_in = b.in_channels if in_channels is None else in_channels
+    c_in = b.in_channels
     total = len(b.input_shapes)  # weighted-sum scalars
     for (_, ci), proj in zip(b.input_shapes, b.scaling_proj):
         if proj:
@@ -125,7 +144,11 @@ def block_params(b: BlockSpec, in_channels: Optional[int] = None) -> int:
 
 @dataclass
 class ArchSpec:
-    """Fully costed architecture: DAG, per-vertex blocks, exact costs."""
+    """Fully costed architecture: DAG, per-vertex blocks, exact costs.
+
+    ``out_bytes[v]`` is the size of v's output map, which every consumer
+    of v receives whole.
+    """
 
     dag: ArchDag
     blocks: Tuple[BlockSpec, ...]
@@ -138,7 +161,7 @@ class ArchSpec:
     vertex_flops: Tuple[int, ...]
     vertex_params: Tuple[int, ...]
     suppressed_stagings: int
-    _edge_bytes: Dict[Tuple[int, int], int] = field(repr=False, default_factory=dict)
+    out_bytes: Tuple[int, ...]
 
     @property
     def total_flops(self) -> int:
@@ -147,17 +170,6 @@ class ArchSpec:
     @property
     def total_params(self) -> int:
         return sum(self.vertex_params)
-
-    @property
-    def per_edge_bytes(self) -> Dict[Tuple[int, int], int]:
-        return self._edge_bytes
-
-def edge_bytes(arch: ArchSpec, edge: Tuple[int, int]) -> int:
-    """Bytes moved over one directed edge: the producer's full output map."""
-    try:
-        return arch.per_edge_bytes[tuple(edge)]
-    except KeyError:
-        raise KeyError(f"no such edge: {edge}") from None
 
 def elaborate(
     dag: ArchDag,
@@ -176,21 +188,14 @@ def elaborate(
         channel_limit: staging stops once doubling would exceed this.
         staging: one of ``greedy``, ``probabilistic``, ``uniform``.
         staging_prob: per-block staging probability in probabilistic mode.
-        bytes_per_element: feature element width used for edge byte costs.
+        bytes_per_element: feature element width used for output byte costs.
         seed: stream seed for the per-block staging coins.
 
     Returns:
         ArchSpec with one BlockSpec per vertex and exact integer costs.
     """
     s0, c0 = input_shape
-    if s0 < 1 or c0 < 1:
-        raise ValueError(f"input shape must be positive, got {input_shape}")
-    if channel_limit < c0:
-        raise ValueError(f"channel limit {channel_limit} below input channels {c0}")
-    if staging not in STAGING_MODES:
-        raise ValueError(f"unknown staging mode: {staging!r}")
-    if not 0.0 <= staging_prob <= 1.0:
-        raise ValueError(f"staging probability outside [0, 1]: {staging_prob}")
+    ElaborationConfig(s0, c0, channel_limit, staging, staging_prob, bytes_per_element)  # checks the settings
 
     pred = dag.predecessors()
     blocks: list[Optional[BlockSpec]] = [None] * dag.n_vertices
@@ -231,10 +236,6 @@ def elaborate(
     done = tuple(blocks)  # type: ignore[arg-type]
     flops = tuple(block_flops(b) for b in done)
     params = tuple(block_params(b) for b in done)
-    ebytes = {}
-    for u, w in dag.edges:
-        s, c = done[u].output_shape
-        ebytes[(u, w)] = s * s * c * bytes_per_element
     return ArchSpec(
         dag=dag,
         blocks=done,
@@ -247,7 +248,7 @@ def elaborate(
         vertex_flops=flops,
         vertex_params=params,
         suppressed_stagings=suppressed,
-        _edge_bytes=ebytes,
+        out_bytes=tuple(b.spatial * b.spatial * b.channels * bytes_per_element for b in done),
     )
 
 def _pool_steps(spatial: int, target: int) -> int:
@@ -290,52 +291,24 @@ def arch_to_dict(a: ArchSpec) -> dict:
         }
         for v, b in enumerate(a.blocks)
     ]
-    doc["edge_bytes"] = [[u, v, a.per_edge_bytes[(u, v)]] for u, v in a.dag.edges]
+    doc["edge_bytes"] = [[u, v, a.out_bytes[u]] for u, v in a.dag.edges]
     doc["totals"] = {"flops": a.total_flops, "params": a.total_params}
     return doc
-
-def arch_from_dict(doc: dict) -> ArchSpec:
-    dag = dag_from_dict(doc)
-    meta = doc["elaboration"]
-    blocks = tuple(
-        BlockSpec(
-            kind=b["kind"],
-            spatial=b["spatial"],
-            channels=b["channels"],
-            staged=b["staged"],
-            in_spatial=b["in_spatial"],
-            in_channels=b["in_channels"],
-            input_shapes=tuple(tuple(s) for s in b["input_shapes"]),
-            scaling_pools=tuple(b["scaling_pools"]),
-            scaling_proj=tuple(b["scaling_proj"]),
-        )
-        for b in sorted(doc["blocks"], key=lambda x: x["vertex"])
-    )
-    return ArchSpec(
-        dag=dag,
-        blocks=blocks,
-        input_shape=tuple(meta["input_shape"]),
-        channel_limit=meta["channel_limit"],
-        staging=meta["staging"],
-        staging_prob=meta["staging_prob"],
-        bytes_per_element=meta["bytes_per_element"],
-        seed=meta["seed"],
-        vertex_flops=tuple(b["flops"] for b in sorted(doc["blocks"], key=lambda x: x["vertex"])),
-        vertex_params=tuple(b["params"] for b in sorted(doc["blocks"], key=lambda x: x["vertex"])),
-        suppressed_stagings=meta["suppressed_stagings"],
-        _edge_bytes={(u, v): b for u, v, b in doc["edge_bytes"]},
-    )
 
 def write_arch(a: ArchSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(arch_to_dict(a), indent=2, sort_keys=True) + "\n")
 
 def read_arch(path: str | Path) -> ArchSpec:
-    return arch_from_dict(json.loads(Path(path).read_text()))
-
-def write_arch_csv(a: ArchSpec, path: str | Path) -> None:
-    """One row per vertex: shape, staging flag, exact costs."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "kind", "spatial", "channels", "staged", "flops", "params"])
-        for v, b in enumerate(a.blocks):
-            w.writerow([v, b.kind, b.spatial, b.channels, int(b.staged), a.vertex_flops[v], a.vertex_params[v]])
+    """Rebuild the architecture from the file's DAG and elaboration
+    settings; a file that is not exactly ``arch_to_dict`` of its rebuild
+    raises ArchFileError."""
+    doc = json.loads(Path(path).read_text())
+    try:
+        settings = dict(doc["elaboration"])
+        del settings["suppressed_stagings"]
+        arch = elaborate(dag_from_dict(doc), **settings)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ArchFileError(f"{path}: not an architecture file ({type(exc).__name__}: {exc})") from None
+    if json.dumps(arch_to_dict(arch), sort_keys=True) != json.dumps(doc, sort_keys=True):
+        raise ArchFileError(f"{path}: does not match the architecture its DAG and settings rebuild")
+    return arch

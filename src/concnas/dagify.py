@@ -12,9 +12,7 @@ sources.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Tuple
 
 from .randgraph import Edge, UndirectedGraph, graph_from_dict, graph_to_dict
@@ -200,8 +198,11 @@ def dag_to_dict(d: ArchDag) -> dict:
     return doc
 
 def dag_from_dict(doc: dict) -> ArchDag:
+    """Inverse of ``dag_to_dict``; raises ValueError unless every edge joins
+    two known vertices, no edge enters the input or leaves the output,
+    and every vertex has a known kind."""
     undirected = graph_from_dict(doc) if "generator" in doc else None
-    return ArchDag(
+    dag = ArchDag(
         n_vertices=doc["n_dag_vertices"],
         edges=tuple(tuple(e) for e in doc["directed_edges"]),
         input_vertex=doc["input"],
@@ -209,9 +210,16 @@ def dag_from_dict(doc: dict) -> ArchDag:
         kinds=tuple(doc["kinds"]),
         undirected=undirected,
     )
-
-def write_dag(d: ArchDag, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dag_to_dict(d), indent=2, sort_keys=True) + "\n")
-
-def read_dag(path: str | Path) -> ArchDag:
-    return dag_from_dict(json.loads(Path(path).read_text()))
+    n, vertices = dag.n_vertices, range(dag.n_vertices)
+    if (
+        len(dag.kinds) != n
+        or any(k not in _DOT_SHAPE for k in dag.kinds)
+        or dag.input_vertex not in vertices
+        or dag.output_vertex not in vertices
+        or dag.kinds[dag.input_vertex] != KIND_INPUT
+        or dag.kinds[dag.output_vertex] != KIND_OUTPUT
+        or any(len(e) != 2 or e[0] not in vertices or e[1] not in vertices for e in dag.edges)
+        or any(v == dag.input_vertex or u == dag.output_vertex for u, v in dag.edges)
+    ):
+        raise ValueError("inconsistent DAG: vertex ids, kinds or terminal edges")
+    return dag

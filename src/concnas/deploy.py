@@ -38,6 +38,15 @@ class CostParams:
     link_latency: float = 0.05
     include_gather: bool = True
 
+    def __post_init__(self):
+        if not self.flops_per_time > 0:
+            raise ValueError(f"flops_per_time must be positive, got {self.flops_per_time}")
+        # an infinite bandwidth is legal: transfers then cost latency only
+        if not self.bytes_per_time > 0:
+            raise ValueError(f"bytes_per_time must be positive, got {self.bytes_per_time}")
+        if not 0 <= self.link_latency < math.inf:
+            raise ValueError(f"link_latency must be finite and non-negative, got {self.link_latency}")
+
 @dataclass(frozen=True)
 class GroupedDag:
     """Chain contraction of an architecture DAG.
@@ -67,16 +76,16 @@ class GroupedDag:
     @cached_property
     def _sim_plan(self) -> Tuple[tuple, Tuple[int, ...], Tuple[int, ...]]:
         """Static schedule inputs, derived from ``arch`` alone: per vertex
-        its (successor, edge bytes) pairs in edge order, its predecessor
+        its (successor, output bytes) pairs in edge order, its predecessor
         count, and its ready-queue key ``depth * n + v``, which orders
         like ``(depth, v)``."""
         dag = self.arch.dag
         n = dag.n_vertices
-        nbytes = self.arch.per_edge_bytes
+        nbytes = self.arch.out_bytes
         succ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         n_pred = [0] * n
         for u, v in dag.edges:
-            succ[u].append((v, nbytes[(u, v)]))
+            succ[u].append((v, nbytes[u]))
             n_pred[v] += 1
         keys = tuple(d * n + v for v, d in enumerate(vertex_depths(dag)))
         return tuple(map(tuple, succ)), tuple(n_pred), keys
@@ -130,7 +139,7 @@ def group_chains(arch: ArchSpec) -> GroupedDag:
     for u, v in dag.edges:
         gu, gv = group_of[u], group_of[v]
         if gu != gv:
-            agg[(gu, gv)] = agg.get((gu, gv), 0) + arch.per_edge_bytes[(u, v)]
+            agg[(gu, gv)] = agg.get((gu, gv), 0) + arch.out_bytes[u]
     edges = tuple((gu, gv, b) for (gu, gv), b in sorted(agg.items()))
     return GroupedDag(
         arch=arch,
@@ -206,7 +215,7 @@ def simulate(
     hand-offs are free.  The makespan is the completion of the output
     gather.
 
-    The static plan (successors with their edge bytes, predecessor
+    The static plan (successors with their producer's bytes, predecessor
     counts and vertex depths) is computed once per ``GroupedDag`` and
     shared by every placement simulated on it.
     """

@@ -82,7 +82,7 @@ def build_hypergraph(arch: ArchSpec) -> Hypergraph:
         if not succ[u]:
             continue
         pins.append(tuple([u] + sorted(succ[u])))
-        weights.append(arch.per_edge_bytes[(u, succ[u][0])])
+        weights.append(arch.out_bytes[u])
     order = topological_order(dag)
     hint = [0] * dag.n_vertices
     for pos, v in enumerate(order):

@@ -15,9 +15,7 @@ equal configurations serialize to identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -26,9 +24,18 @@ from .rng import root_stream
 
 Edge = Tuple[int, int]
 
+# each family's required parameters
+GENERATORS = {
+    "er": ("p",),
+    "ba": ("m",),
+    "ws": ("k", "p"),
+    "dp": ("p", "alpha", "beta"),
+    "fb": ("k", "p", "stages"),
+}
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Parameters of one generator run.
+    """Parameters of one generator run, checked at construction.
 
     ``kind`` selects the family; only that family's fields are read.
     ``p`` is the edge/rewire probability (er, ws, dp, fb), ``m`` the
@@ -38,14 +45,39 @@ class GeneratorConfig:
     """
 
     kind: str
-    n_vertices: int
-    seed: int
+    n_vertices: int = 40
+    seed: int = 0
     p: Optional[float] = None
     m: Optional[int] = None
     k: Optional[int] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
     stages: Optional[int] = None
+
+    def __post_init__(self):
+        kind, n = self.kind, self.n_vertices
+        if kind not in GENERATORS:
+            raise ValueError(f"unknown generator kind: {kind!r}")
+        for name in GENERATORS[kind]:
+            if getattr(self, name) is None:
+                raise ValueError(f"generator {kind!r} needs parameter {name!r}")
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got {n}")
+        if "p" in GENERATORS[kind] and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"probability outside [0, 1]: {self.p}")
+        if kind == "ba" and not 1 <= self.m < n:
+            raise ValueError(f"attachment count must satisfy 1 <= m < n, got m={self.m}, n={n}")
+        if kind in ("ws", "fb") and (self.k % 2 != 0 or self.k < 0):
+            raise ValueError(f"lattice degree must be even and non-negative, got {self.k}")
+        if kind == "dp" and self.alpha < 0:
+            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if kind == "dp" and self.beta < 0:
+            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if kind == "fb" and not 1 <= self.stages <= n:
+            raise ValueError(f"stage count must satisfy 1 <= stages <= n, got {self.stages}")
+        # a single stage is one ws graph, so the ws bound on k applies
+        if (kind == "ws" or (kind == "fb" and self.stages == 1)) and self.k >= n:
+            raise ValueError(f"lattice degree must satisfy 0 <= k < n, got k={self.k}, n={n}")
 
 @dataclass(frozen=True)
 class UndirectedGraph:
@@ -81,14 +113,6 @@ def dp_edge_probability(alpha: float, p: float, beta: float, distance: int) -> f
     """Inclusion probability alpha * p**(beta * d), clamped to 1."""
     return min(1.0, alpha * p ** (beta * distance))
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability outside [0, 1]: {p}")
-
 def _pairs(n: int) -> Iterator[Edge]:
     for u in range(n):
         for v in range(u + 1, n):
@@ -96,13 +120,11 @@ def _pairs(n: int) -> Iterator[Edge]:
 
 def generate_er(n: int, p: float, seed: int) -> UndirectedGraph:
     """Independent coin per vertex pair, probability ``p`` each."""
-    _check_n(n)
-    _check_p(p)
+    cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
     rng = root_stream(seed)
     pairs = list(_pairs(n))
     draws = rng.random(len(pairs))
     edges = tuple(pair for pair, x in zip(pairs, draws) if x < p)
-    cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
@@ -113,9 +135,7 @@ def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
     Degrees refresh after every accepted edge, duplicates are resampled,
     so the result always has exactly m * (n - m) edges.
     """
-    _check_n(n)
-    if m < 1 or m >= n:
-        raise ValueError(f"attachment count must satisfy 1 <= m < n, got m={m}, n={n}")
+    cfg = GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=m)
     rng = root_stream(seed)
     degree = np.zeros(n, dtype=np.int64)
     edges: list[Edge] = []
@@ -132,7 +152,6 @@ def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
             degree[v] += 1
             edges.append((t, v))
     edges.sort()
-    cfg = GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=m)
     return UndirectedGraph(n_vertices=n, edges=tuple(edges), config=cfg)
 
 def _ws_edges(
@@ -177,24 +196,15 @@ def _ws_edges(
             edges.add((a, b))
     return edges, rewired
 
-def _check_ws_params(n: int, k: int) -> None:
-    if k % 2 != 0:
-        raise ValueError(f"lattice degree must be even, got {k}")
-    if k < 0 or k >= n:
-        raise ValueError(f"lattice degree must satisfy 0 <= k < n, got k={k}, n={n}")
-
 def generate_ws(n: int, k: int, p: float, seed: int) -> UndirectedGraph:
     """Ring lattice with k/2 neighbours per side, then one clockwise
     rewiring pass per lattice distance: each surviving lattice edge moves
     to a uniformly drawn non-duplicate, non-self target with probability
     ``p``.  The edge count stays n * k / 2.
     """
-    _check_n(n)
-    _check_ws_params(n, k)
-    _check_p(p)
+    cfg = GeneratorConfig(kind="ws", n_vertices=n, seed=seed, p=p, k=k)
     rng = root_stream(seed)
     edges, rewired = _ws_edges(n, k, p, rng)
-    cfg = GeneratorConfig(kind="ws", n_vertices=n, seed=seed, p=p, k=k)
     return UndirectedGraph(
         n_vertices=n, edges=tuple(sorted(edges)), config=cfg, rewired=rewired
     )
@@ -206,12 +216,7 @@ def generate_dp(n: int, p: float, alpha: float, beta: float, seed: int) -> Undir
     probability min(1, alpha * p**(beta * d)), so short-range edges
     dominate and the graph splits into locally connected clusters.
     """
-    _check_n(n)
-    _check_p(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    cfg = GeneratorConfig(kind="dp", n_vertices=n, seed=seed, p=p, alpha=alpha, beta=beta)
     rng = root_stream(seed)
     pairs = list(_pairs(n))
     probs = np.array(
@@ -219,7 +224,6 @@ def generate_dp(n: int, p: float, alpha: float, beta: float, seed: int) -> Undir
     )
     draws = rng.random(len(pairs))
     edges = tuple(pair for pair, x, q in zip(pairs, draws, probs) if x < q)
-    cfg = GeneratorConfig(kind="dp", n_vertices=n, seed=seed, p=p, alpha=alpha, beta=beta)
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def fb_stage_ranges(n: int, stages: int) -> list[tuple[int, int]]:
@@ -241,14 +245,7 @@ def generate_fb(n: int, k: int, p: float, stages: int, seed: int) -> UndirectedG
     Stages too small for the requested lattice degree fall back to the
     largest even degree below the stage size.
     """
-    _check_n(n)
-    _check_p(p)
-    if stages < 1 or stages > n:
-        raise ValueError(f"stage count must satisfy 1 <= stages <= n, got {stages}")
-    if k % 2 != 0 or k < 0:
-        raise ValueError(f"lattice degree must be even and non-negative, got {k}")
-    if stages == 1:
-        _check_ws_params(n, k)
+    cfg = GeneratorConfig(kind="fb", n_vertices=n, seed=seed, p=p, k=k, stages=stages)
     rng = root_stream(seed)
     edges: set[Edge] = set()
     rewired = 0
@@ -262,7 +259,6 @@ def generate_fb(n: int, k: int, p: float, stages: int, seed: int) -> UndirectedG
         edges |= stage_edges
         rewired += stage_rewired
     markers = tuple(start for start, _ in ranges[1:])
-    cfg = GeneratorConfig(kind="fb", n_vertices=n, seed=seed, p=p, k=k, stages=stages)
     return UndirectedGraph(
         n_vertices=n,
         edges=tuple(sorted(edges)),
@@ -272,30 +268,17 @@ def generate_fb(n: int, k: int, p: float, stages: int, seed: int) -> UndirectedG
     )
 
 def generate(config: GeneratorConfig) -> UndirectedGraph:
-    """Dispatch on ``config.kind``; unknown kinds raise ValueError."""
-    kind = config.kind
-    n, seed = config.n_vertices, config.seed
-    if kind == "er":
-        return generate_er(n, _require(config, "p"), seed)
-    if kind == "ba":
-        return generate_ba(n, _require(config, "m"), seed)
-    if kind == "ws":
-        return generate_ws(n, _require(config, "k"), _require(config, "p"), seed)
-    if kind == "dp":
-        return generate_dp(
-            n, _require(config, "p"), _require(config, "alpha"), _require(config, "beta"), seed
-        )
-    if kind == "fb":
-        return generate_fb(
-            n, _require(config, "k"), _require(config, "p"), _require(config, "stages"), seed
-        )
-    raise ValueError(f"unknown generator kind: {kind!r}")
-
-def _require(config: GeneratorConfig, name: str):
-    value = getattr(config, name)
-    if value is None:
-        raise ValueError(f"generator {config.kind!r} needs parameter {name!r}")
-    return value
+    """Dispatch on ``config.kind``; the config checked its own fields."""
+    c, n, seed = config, config.n_vertices, config.seed
+    if c.kind == "er":
+        return generate_er(n, c.p, seed)
+    if c.kind == "ba":
+        return generate_ba(n, c.m, seed)
+    if c.kind == "ws":
+        return generate_ws(n, c.k, c.p, seed)
+    if c.kind == "dp":
+        return generate_dp(n, c.p, c.alpha, c.beta, seed)
+    return generate_fb(n, c.k, c.p, c.stages, seed)
 
 def graph_to_dict(g: UndirectedGraph) -> dict:
     cfg = {k: v for k, v in asdict(g.config).items() if v is not None}
@@ -314,9 +297,3 @@ def graph_from_dict(doc: dict) -> UndirectedGraph:
         config=cfg,
         stage_markers=tuple(doc.get("stage_markers", ())),
     )
-
-def write_graph(g: UndirectedGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n")
-
-def read_graph(path: str | Path) -> UndirectedGraph:
-    return graph_from_dict(json.loads(Path(path).read_text()))

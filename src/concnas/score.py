@@ -4,7 +4,7 @@ Combines three signals, each taken at its best feasible partition:
 
 * ``delta``     load imbalance, heaviest part over the ideal share
 * ``lam_norm``  connectivity metric over (u_c * n), where u_c is the
-                smallest per-edge byte cost in the architecture
+                smallest output map, in bytes, that any vertex sends
 * ``eta``       overlap ratio, longest path vertices over |V| / n
 
 into  CS = (delta**a * lam_norm**b * eta**c) ** (1/3),  lower is better.
@@ -19,7 +19,6 @@ cap on the grid, the minimum is taken over the whole grid.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Tuple
@@ -97,7 +96,7 @@ def concurrency_score(
         raise ValueError("need at least one balance tolerance")
     h = hypergraph if hypergraph is not None else build_hypergraph(arch)
     eta = overlap_ratio(arch.dag, n_units)
-    u_c = min(arch.per_edge_bytes.values())
+    u_c = min(arch.out_bytes[u] for u, _ in arch.dag.edges)
     records = []
     for i, eps in enumerate(eps_grid):
         p = partition(h, n_units, eps, seed=derived_seed(seed, KEY_PARTITION, i))
@@ -124,30 +123,6 @@ def concurrency_score(
         records=tuple(records),
         best_index=best_index,
     )
-
-def metrics_to_dict(r: MetricsReport) -> dict:
-    return {
-        "n_units": r.n_units,
-        "eta": r.eta,
-        "u_c": r.u_c,
-        "weights": list(r.weights),
-        "best_eps": r.best.eps,
-        "best_cs": r.best_cs,
-        "records": [
-            {
-                "eps": e.eps,
-                "lam": e.lam,
-                "lam_norm": e.lam_norm,
-                "imbalance": e.imbalance,
-                "cs": e.cs,
-                "best_effort": e.best_effort,
-            }
-            for e in r.records
-        ],
-    }
-
-def write_metrics_json(r: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(metrics_to_dict(r), indent=2, sort_keys=True) + "\n")
 
 def write_metrics_csv(r: MetricsReport, path: str | Path) -> None:
     """One row per grid point; the chosen minimum is flagged in the last column."""

@@ -10,14 +10,15 @@ task order, so the output does not depend on the worker count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
 from statistics import mean, median
 from typing import Dict, List, Sequence, Tuple
 
-from .archmodel import elaborate
-from .dagify import longest_path_length, orient
+from .archmodel import ArchSpec, ElaborationConfig, elaborate
+from .dagify import ArchDag, longest_path_length, orient
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
 from .hypart import build_hypergraph
 from .randgraph import GeneratorConfig, generate
@@ -29,7 +30,11 @@ DEFAULT_UNITS = (4, 6, 8, 10)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs; defaults match the reference experiment."""
+    """Everything a sweep needs; defaults match the reference experiment.
+
+    Construction checks every field and builds each requested family's
+    generator config once, so a bad value fails before any sample runs.
+    """
 
     generators: Tuple[str, ...] = DEFAULT_GENERATORS
     n_vertices: int = 40
@@ -44,49 +49,56 @@ class SweepConfig:
     dp_alpha: float = 2.0
     dp_beta: float = 2.0
     fb_stages: int = 3
-    input_spatial: int = 32
-    input_channels: int = 16
-    channel_limit: int = 256
-    staging: str = "probabilistic"
-    staging_prob: float = 0.5
-    bytes_per_element: int = 4
+    elaboration: ElaborationConfig = field(default_factory=ElaborationConfig)
     eps_grid: Tuple[float, ...] = DEFAULT_EPS_GRID
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS
     cost: CostParams = field(default_factory=CostParams)
     workers: int = 1
 
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("need at least one generator")
+        for kind in self.generators:
+            generator_config(self, kind, self.master_seed)
+        if self.samples < 1 or self.workers < 1:
+            raise ValueError(f"samples and workers must be at least 1, got {self.samples} and {self.workers}")
+        if not self.units or min(self.units) < 2:
+            raise ValueError(f"need unit counts of at least 2, got {self.units}")
+        if not self.eps_grid or not all(1.0 <= eps < math.inf for eps in self.eps_grid):
+            raise ValueError(f"need balance tolerances that are finite and at least 1, got {self.eps_grid}")
+        if len(self.weights) != 3:
+            raise ValueError(f"need exactly three weights, got {self.weights}")
+
 def generator_config(cfg: SweepConfig, kind: str, seed: int) -> GeneratorConfig:
-    n = cfg.n_vertices
-    if kind == "er":
-        return GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=cfg.er_p)
-    if kind == "ba":
-        return GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=cfg.ba_m)
-    if kind == "ws":
-        return GeneratorConfig(kind="ws", n_vertices=n, seed=seed, k=cfg.ws_k, p=cfg.ws_p)
-    if kind == "dp":
-        return GeneratorConfig(
-            kind="dp", n_vertices=n, seed=seed, p=cfg.dp_p, alpha=cfg.dp_alpha, beta=cfg.dp_beta
-        )
-    if kind == "fb":
-        return GeneratorConfig(
-            kind="fb", n_vertices=n, seed=seed, k=cfg.ws_k, p=cfg.ws_p, stages=cfg.fb_stages
-        )
-    raise ValueError(f"unknown generator kind: {kind!r}")
+    """The sweep's parameters for family ``kind``; fb stages share the ws lattice."""
+    params = {
+        "er": dict(p=cfg.er_p),
+        "ba": dict(m=cfg.ba_m),
+        "ws": dict(k=cfg.ws_k, p=cfg.ws_p),
+        "dp": dict(p=cfg.dp_p, alpha=cfg.dp_alpha, beta=cfg.dp_beta),
+        "fb": dict(k=cfg.ws_k, p=cfg.ws_p, stages=cfg.fb_stages),
+    }
+    return GeneratorConfig(kind=kind, n_vertices=cfg.n_vertices, seed=seed, **params.get(kind, {}))
+
+def elaborate_with(cfg: ElaborationConfig, dag: ArchDag, seed: int, staging: str | None = None) -> ArchSpec:
+    """``elaborate`` under ``cfg``'s settings; ``staging`` overrides its policy."""
+    return elaborate(
+        dag,
+        input_shape=(cfg.input_spatial, cfg.input_channels),
+        channel_limit=cfg.channel_limit,
+        staging=staging or cfg.staging,
+        staging_prob=cfg.staging_prob,
+        bytes_per_element=cfg.bytes_per_element,
+        seed=seed,
+    )
 
 def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     """All rows for one (generator, sample index) pair."""
     seed = sample_seed(cfg.master_seed, index)
     graph = generate(generator_config(cfg, kind, seed))
     dag = orient(graph)
-    kwargs = dict(
-        input_shape=(cfg.input_spatial, cfg.input_channels),
-        channel_limit=cfg.channel_limit,
-        staging_prob=cfg.staging_prob,
-        bytes_per_element=cfg.bytes_per_element,
-        seed=seed,
-    )
-    arch = elaborate(dag, staging=cfg.staging, **kwargs)
-    params_greedy = elaborate(dag, staging="greedy", **kwargs).total_params
+    arch = elaborate_with(cfg.elaboration, dag, seed)
+    params_greedy = elaborate_with(cfg.elaboration, dag, seed, "greedy").total_params
     h = build_hypergraph(arch)
     gd = group_chains(arch)
     rows = []

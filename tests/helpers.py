@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from concnas.archmodel import ArchSpec, BlockSpec
 from concnas.dagify import ArchDag
@@ -91,10 +91,10 @@ def dag_of(
 def synthetic_arch(
     dag: ArchDag,
     flops: Sequence[int],
-    ebytes: Optional[Dict[Tuple[int, int], int]] = None,
+    out_bytes: Optional[Sequence[int]] = None,
     default_bytes: int = 1,
 ) -> ArchSpec:
-    """ArchSpec with hand-picked vertex flops and edge bytes.
+    """ArchSpec with hand-picked vertex flops and bytes per producer.
 
     The block table holds placeholders; placement, partitioning and the
     simulator only read the cost vectors.
@@ -103,8 +103,6 @@ def synthetic_arch(
         BlockSpec(dag.kinds[v], 1, 1, False, 1, 1, (), (), ())
         for v in range(dag.n_vertices)
     )
-    table = dict(ebytes or {})
-    bmap = {e: table.get(e, default_bytes) for e in dag.edges}
     return ArchSpec(
         dag=dag,
         blocks=blocks,
@@ -117,5 +115,5 @@ def synthetic_arch(
         vertex_flops=tuple(flops),
         vertex_params=(0,) * dag.n_vertices,
         suppressed_stagings=0,
-        _edge_bytes=bmap,
+        out_bytes=tuple(out_bytes) if out_bytes is not None else (default_bytes,) * dag.n_vertices,
     )

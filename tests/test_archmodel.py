@@ -6,20 +6,21 @@ scaling front-end over seeded random DAGs.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from concnas.archmodel import (
+    ArchFileError,
     BlockSpec,
+    arch_to_dict,
     block_flops,
     block_params,
-    edge_bytes,
     elaborate,
     flops_breakdown,
     read_arch,
     write_arch,
-    write_arch_csv,
 )
 from concnas.dagify import orient, topological_order
 from concnas.randgraph import GeneratorConfig, generate
@@ -81,16 +82,15 @@ def test_synthetic_input_output_cost_nothing():
 
 def test_edge_bytes_pinned_values():
     arch = elaborate(orient(path_graph(3)), input_shape=(32, 16), staging="uniform")
-    first = (arch.dag.input_vertex, 0)
-    assert edge_bytes(arch, first) == 65536
+    assert arch.out_bytes[arch.dag.input_vertex] == 65536
 
     staged = elaborate(orient(path_graph(3)), input_shape=(32, 16), staging="greedy")
     # producer 0 staged once: output (16, 32), bytes halve
     assert staged.blocks[0].output_shape == (16, 32)
-    assert edge_bytes(staged, (0, 1)) == 32768
+    assert staged.out_bytes[0] == 32768
 
     tiny = elaborate(orient(path_graph(2)), input_shape=(1, 1), channel_limit=1, staging="uniform")
-    assert edge_bytes(tiny, (0, 1)) == 4
+    assert tiny.out_bytes[0] == 4
 
 
 def test_edge_bytes_follow_producer_shape():
@@ -98,9 +98,9 @@ def test_edge_bytes_follow_producer_shape():
     for _ in range(200):
         g = random_small_graph(rng)
         arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
-        for (u, v) in arch.dag.edges:
-            s, c = arch.blocks[u].output_shape
-            assert arch.per_edge_bytes[(u, v)] == s * s * c * 4
+        for u, b in enumerate(arch.blocks):
+            s, c = b.output_shape
+            assert arch.out_bytes[u] == s * s * c * 4
 
 
 def test_greedy_chain_trace():
@@ -218,14 +218,26 @@ def test_arch_round_trip(tmp_path):
         assert back.blocks == arch.blocks
         assert back.vertex_flops == arch.vertex_flops
         assert back.vertex_params == arch.vertex_params
-        assert back.per_edge_bytes == arch.per_edge_bytes
+        assert back.out_bytes == arch.out_bytes
         assert back.total_params == arch.total_params
 
 
-def test_csv_dump_has_one_row_per_vertex(tmp_path):
-    arch = elaborate(orient(path_graph(5)))
-    path = tmp_path / "a.csv"
-    write_arch_csv(arch, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == arch.dag.n_vertices + 1
-    assert lines[0].startswith("vertex")
+def test_read_arch_rejects_files_that_differ_from_their_rebuild(tmp_path):
+    doc = arch_to_dict(elaborate(orient(path_graph(4)), seed=3))
+    tampers = (
+        lambda d: d["blocks"][1].update(flops=d["blocks"][1]["flops"] + 1),
+        lambda d: d["blocks"][1].update(channels=str(d["blocks"][1]["channels"])),
+        lambda d: d["edge_bytes"].pop(),
+        lambda d: d["elaboration"].update(suppressed_stagings=1),
+        lambda d: d["elaboration"].update(channel_limit=8),
+        lambda d: d["kinds"].__setitem__(0, "widget"),
+        lambda d: d.pop("n_dag_vertices"),
+        lambda d: d.update(extra=1),
+    )
+    for i, tamper in enumerate(tampers):
+        bad = json.loads(json.dumps(doc))
+        tamper(bad)
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ArchFileError):
+            read_arch(path)

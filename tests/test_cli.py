@@ -181,3 +181,97 @@ def test_histogram_accounts_for_every_vertex(tmp_path, capsys):
     lines = (tmp_path / "histogram.csv").read_text().strip().splitlines()
     assert lines[0] == "depth,width"
     assert sum(int(row.split(",")[1]) for row in lines[1:]) == 17
+
+
+ER = ("--kind", "er", "--n", "10", "--p", "0.3", "--seed", "1")
+
+
+def _gen_doc(tmp_path, capsys):
+    """The architecture file that ``gen`` writes for ER."""
+    code, _, _ = run(capsys, "gen", *ER, "--name", "base", "--out", str(tmp_path))
+    assert code == 0
+    return json.loads((tmp_path / "base.json").read_text())
+
+
+def _edit(change):
+    """A change made in place, as a function from document to document."""
+    def apply(doc):
+        change(doc)
+        return doc
+    return apply
+
+
+def _block(doc):
+    return next(b for b in doc["blocks"] if b["flops"])
+
+
+def _add_flops(delta):
+    return _edit(lambda doc: _block(doc).update(flops=_block(doc)["flops"] + delta))
+
+
+def _one_score_line_at_4(tmp_path, capsys, out):
+    assert out.startswith("n=4 ") and out.count("n=") == 1
+
+
+def _sweep_rows_are_er(tmp_path, capsys, out):
+    rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(r.startswith("er,") for r in rows)
+
+
+def _same_output_as(*argv):
+    def check(tmp_path, capsys, out):
+        code, again, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0 and out == again
+    return check
+
+
+# case: (argv, config file contents, change to a gen output passed as
+#        --arch, exit code, stderr prefix or check of a successful run)
+CONTRACT = {
+    "channels-0": (("gen", *ER, "--channels", "0"), None, None, 1, "usage error:"),
+    "staging-prob-2": (("gen", *ER, "--staging-prob", "2"), None, None, 1, "usage error:"),
+    "channel-limit-8": (("gen", *ER, "--channel-limit", "8"), None, None, 1, "usage error:"),
+    "simulate-units-0": (("simulate", *ER, "--units", "0"), None, None, 1, "usage error:"),
+    "flops-per-time-0": (("simulate", *ER, "--flops-per-time", "0"), None, None, 1, "usage error:"),
+    "link-latency-negative": (("simulate", *ER, "--link-latency", "-1"), None, None, 1, "usage error:"),
+    "unknown-generator": (("sweep", "--generators", "xx"), None, None, 1, "usage error:"),
+    "negative-samples": (("sweep", "--samples", "-1"), None, None, 1, "usage error:"),
+    "units-above-dag": (("sweep", "--n", "6", "--units", "9"), None, None, 1, "usage error:"),
+    "units-above-er-dag": (("sweep", "--generators", "er", "--n", "6", "--units", "9"), None, None, 1, "usage error:"),
+    "er-p-2": (("sweep", "--er-p", "2"), None, None, 1, "usage error:"),
+    "two-weights": (("score", *ER, "--weights", "1,2"), None, None, 1, "usage error:"),
+    "unknown-config-key": (("gen", *ER), {"bogus": 1}, None, 1, "usage error:"),
+    "config-flag-not-boolean": (("partition", *ER), {"hmetis": "no"}, None, 1, "usage error:"),
+    "config-units-score": (("score", *ER), {"units": 4}, None, 0, _one_score_line_at_4),
+    "config-generators-string": (
+        ("sweep",), {"generators": "er", "n": 10, "samples": 1, "units": [2, 3]}, None, 0, _sweep_rows_are_er,
+    ),
+    "config-units-simulate": (
+        ("simulate", *ER), {"units": 2}, None, 0, _same_output_as("simulate", *ER, "--units", "2"),
+    ),
+    "arch-json-list": (("simulate",), None, lambda doc: [doc], 2, "i/o error:"),
+    "arch-no-vertex-count": (("simulate",), None, _edit(lambda doc: doc.pop("n_dag_vertices")), 2, "i/o error:"),
+    "arch-half-flop-partition": (("partition",), None, _add_flops(0.5), 2, "i/o error:"),
+    "arch-half-flop-simulate": (("simulate",), None, _add_flops(0.5), 2, "i/o error:"),
+    "arch-flops-raised": (("simulate",), None, _add_flops(1000), 2, "i/o error:"),
+    "arch-channels-text": (("simulate",), None, _edit(lambda doc: _block(doc).update(channels="x")), 2, "i/o error:"),
+    "arch-edge-bytes-row-dropped": (("partition",), None, _edit(lambda doc: doc["edge_bytes"].pop()), 2, "i/o error:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_exit_code_contract(case, tmp_path, capsys):
+    argv, config, change, expected, outcome = CONTRACT[case]
+    argv = [*argv, "--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    if change is not None:
+        (tmp_path / "arch.json").write_text(json.dumps(change(_gen_doc(tmp_path, capsys))))
+        argv += ["--arch", str(tmp_path / "arch.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    if expected == 0:
+        outcome(tmp_path, capsys, out)
+    else:
+        assert err.startswith(outcome), err

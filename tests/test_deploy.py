@@ -95,7 +95,7 @@ def reference_simulate(gd, placement, params=CostParams(), keep_trace=False):
             if src == COMMON_UNIT or src == dst or (w == dag.output_vertex and not params.include_gather):
                 push(t, "arrive", (w,))
             else:
-                nbytes = arch.per_edge_bytes[(v, w)]
+                nbytes = arch.out_bytes[v]
                 link = (src, dst)
                 start = max(t, link_free.get(link, 0.0))
                 done = start + params.link_latency + nbytes / params.bytes_per_time
@@ -475,7 +475,7 @@ def test_simulation_matches_reference_with_simultaneous_events():
     for _ in range(150):
         dag = orient(random_small_graph(rng))
         flops = [0 if kind == "merge" else rng.choice((0, 1, 2, 5)) for kind in dag.kinds]
-        gd = group_chains(synthetic_arch(dag, flops, {e: rng.choice((0, 1, 3)) for e in dag.edges}))
+        gd = group_chains(synthetic_arch(dag, flops, [rng.choice((0, 1, 3)) for _ in range(dag.n_vertices)]))
         n = rng.randrange(1, 6)
         units = [rng.randrange(n + 2) for _ in gd.groups]
         units[gd.input_group] = COMMON_UNIT

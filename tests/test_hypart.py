@@ -33,7 +33,7 @@ from concnas.hypart import (
 )
 from concnas.randgraph import generate
 from concnas.rng import sample_seed
-from concnas.sweep import SweepConfig, generator_config
+from concnas.sweep import SweepConfig, elaborate_with, generator_config
 from helpers import empty_graph, path_graph, random_small_graph
 
 
@@ -125,7 +125,7 @@ def test_hyperedge_per_producer():
         for pin, lam in zip(h.pins, h.weights):
             u = pin[0]
             assert set(pin) == {u, *succ[u]}
-            assert lam == arch.per_edge_bytes[(u, succ[u][0])]
+            assert lam == arch.out_bytes[u]
         assert h.vertex_weights == arch.vertex_flops
 
 
@@ -494,16 +494,7 @@ def sweep_hypergraph(kind, index):
     cfg = SweepConfig()
     seed = sample_seed(cfg.master_seed, index)
     dag = orient(generate(generator_config(cfg, kind, seed)))
-    arch = elaborate(
-        dag,
-        input_shape=(cfg.input_spatial, cfg.input_channels),
-        channel_limit=cfg.channel_limit,
-        staging=cfg.staging,
-        staging_prob=cfg.staging_prob,
-        bytes_per_element=cfg.bytes_per_element,
-        seed=seed,
-    )
-    return build_hypergraph(arch)
+    return build_hypergraph(elaborate_with(cfg.elaboration, dag, seed))
 
 
 def test_refine_matches_reference_on_random_levels():
