@@ -10,8 +10,10 @@ file is a flat JSON object keyed by flag names with ``_`` for ``-``, read
 as flags placed before the command line: lists are joined by commas,
 ``true`` is the bare flag and ``false`` leaves it out.  An --arch file
 that differs from the architecture its DAG and elaboration settings
-rebuild is an I/O error.  The default output directory is the
-CONCNAS_OUT environment variable, falling back to the current directory.
+rebuild is an I/O error; a generator or elaboration flag given with it,
+which it would ignore, is a usage error.  The default output directory
+is the CONCNAS_OUT environment variable, falling back to the current
+directory.
 """
 
 from __future__ import annotations
@@ -59,12 +61,15 @@ SWEEP_FIELDS = (
 _FLAG_NAMES = {"n_vertices": "--n", "input_spatial": "--spatial", "input_channels": "--channels",
                "eps_grid": "--eps", "include_gather": "--no-gather"}
 
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
 def _add_fields(p: argparse.ArgumentParser, cls, names) -> None:
     """One flag per field, with no default: left unset, a flag is left out
     of the namespace and the dataclass default applies."""
     hints = get_type_hints(cls)
     for name in names:
-        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        flag = _flag(name)
         hint = hints[name]
         inner = [t for t in get_args(hint) if t is not type(None)]
         kwargs = {"default": argparse.SUPPRESS}
@@ -82,11 +87,20 @@ def _config(cls, args: argparse.Namespace, names, **nested):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-def _load_arch(args: argparse.Namespace) -> ArchSpec:
-    """The --arch file, or the architecture that the generator and elaboration flags describe."""
-    elab = _config(ElaborationConfig, args, SHAPE_FIELDS + STAGING_FIELDS)
+def _load_arch(args: argparse.Namespace, used=()) -> ArchSpec:
+    """The --arch file, or the architecture that the generator and elaboration flags describe.
+
+    The file fixes the architecture, so with --arch a generator or
+    elaboration flag is a usage error, unless the command itself reads it
+    (``used``).
+    """
     if getattr(args, "arch", None) is not None:
+        ignored = [_flag(name) for name in GENERATOR_FIELDS + SHAPE_FIELDS + STAGING_FIELDS
+                   if name not in used and hasattr(args, name)]
+        if ignored:
+            raise UsageError(f"--arch fixes the architecture, so {', '.join(ignored)} would be ignored")
         return read_arch(args.arch)
+    elab = _config(ElaborationConfig, args, SHAPE_FIELDS + STAGING_FIELDS)
     if not hasattr(args, "kind"):
         raise UsageError("--kind (or an --arch file) is required")
     gen = _config(GeneratorConfig, args, GENERATOR_FIELDS)
@@ -128,7 +142,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     grid = _config(SweepConfig, args, SCORE_FIELDS)
-    arch = _load_arch(args)
+    arch = _load_arch(args, used=("seed",))
     _check_partition_args(arch.dag.n_vertices, "--units", grid.units)
     out = _out_dir(args)
     name = args.name or "metrics"
@@ -143,7 +157,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    arch = _load_arch(args)
+    arch = _load_arch(args, used=("seed",))
     _check_partition_args(arch.dag.n_vertices, "--parts", (args.parts,), (args.eps,))
     h = build_hypergraph(arch)
     p = partition(h, args.parts, args.eps, seed=getattr(args, "seed", GeneratorConfig.seed))

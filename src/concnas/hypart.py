@@ -18,6 +18,13 @@ are non-negative integers, so refinement tests the cap as an integer,
 its floor, and prunes each move's scan with a bound on the gain over
 only the parts a vertex fits in.  Results are deterministic for a fixed
 seed.
+
+Nothing unchanged is recomputed.  Coarsening levels are cached per
+hypergraph, and a level is shared by every part count whose weight cap
+lies in the interval over which its matching's weight tests agree.
+Refinement builds its gain tables once per call and carries them from
+pass to pass; a move updates them only on hyperedges whose part counts
+cross a critical value.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,9 +132,10 @@ def load_imbalance(h: Hypergraph, parts: Sequence[int], n_parts: int) -> float:
     return max(part_weights(h, parts, n_parts)) * n_parts / total
 
 class _Level:
-    """Mutable working copy of one coarsening level."""
+    """One coarsening level, shared between calls: read only, apart from
+    ``children``, which ``_hierarchy`` extends."""
 
-    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve", "inc_w", "by_weight", "sorted_w")
+    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve", "inc_w", "by_weight", "sorted_w", "children")
 
     def __init__(self, n, pins, lam, vw, hint, fine_map=None):
         self.n = n
@@ -139,17 +148,25 @@ class _Level:
         for e, pin in enumerate(pins):
             for v in pin:
                 self.ve[v].append(e)
-        self.inc_w = [sum(lam[e] for e in es) for es in self.ve]  # incident hyperedge weight
+        self.inc_w = [sum(map(lam.__getitem__, es)) for es in self.ve]  # incident hyperedge weight
         self.by_weight = sorted(range(n), key=lambda v: vw[v])  # for bisect on sorted_w
         self.sorted_w = [vw[v] for v in self.by_weight]
+        # (lo, hi, contraction): the next level for every weight cap in [lo, hi), None if nothing matches
+        self.children: List[Tuple[float, float, Optional[_Level]]] = []
 
-def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
-    """Contract a greedy matching on shared hyperedge weight."""
+def _match_level(level: _Level, weight_cap: float) -> Tuple[Optional[_Level], float, float]:
+    """Contract a greedy matching on shared hyperedge weight.
+
+    Returns the contraction (None if no pair matches) and the interval
+    ``[lo, hi)`` of weight caps under which every pair-weight test made
+    here comes out the same, so any cap in it gives the same contraction.
+    """
     n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
     ve = level.ve
     mate = [-1] * n
     order = sorted(range(n), key=lambda v: (-vw[v], v))
     matched = 0
+    lo, hi = -math.inf, math.inf
     for v in order:
         if mate[v] != -1:
             continue
@@ -161,18 +178,23 @@ def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
             for u in pins[e]:
                 if u != v and mate[u] == -1:
                     shared[u] = shared.get(u, 0) + w_e
+        # the unmatched neighbour within the cap sharing the most weight, ties to the lowest id
+        w_v = vw[v]
         best_u, best_s = -1, 0
-        for u, s in sorted(shared.items()):
-            if vw[v] + vw[u] > weight_cap:
+        for u, s in shared.items():
+            pair = w_v + vw[u]
+            if pair > weight_cap:
+                hi = min(hi, pair)
                 continue
-            if s > best_s:
+            lo = max(lo, pair)
+            if s > best_s or (s == best_s and u < best_u):
                 best_u, best_s = u, s
         if best_u != -1:
             mate[v] = best_u
             mate[best_u] = v
             matched += 1
     if matched == 0:
-        return None
+        return None, lo, hi
     hint = level.hint
     coarse_of = [-1] * n
     chint: Optional[List[int]] = [] if hint else None
@@ -191,13 +213,13 @@ def _match_level(level: _Level, weight_cap: float) -> Optional[_Level]:
         cvw[coarse_of[v]] += vw[v]
     merged: Dict[Tuple[int, ...], int] = {}
     for pin, w_e in zip(pins, lam):
-        cp = tuple(sorted({coarse_of[v] for v in pin}))
+        cp = tuple(sorted(set(map(coarse_of.__getitem__, pin))))
         if len(cp) <= 1:
             continue
         merged[cp] = merged.get(cp, 0) + w_e
     cpins = [list(p) for p in merged]
     clam = list(merged.values())
-    return _Level(next_id, cpins, clam, cvw, chint, fine_map=coarse_of)
+    return _Level(next_id, cpins, clam, cvw, chint, fine_map=coarse_of), lo, hi
 
 def _initial_contiguous(level: _Level, n_parts: int) -> List[int]:
     order = sorted(range(level.n), key=lambda v: (level.hint[v], v)) if level.hint else list(range(level.n))
@@ -290,8 +312,14 @@ def _refine(
     """FM passes until no pass improves; returns (lam, per-pass history).
 
     Move gains are kept as pull (edges where the vertex is alone in its
-    part) minus push (edges absent from the target part); both update in
-    O(1) per affected pin, which keeps a pass linear in total pin count.
+    part) minus push (edges absent from the target part).  Both tables
+    are built once per call.  A move changes them only on the hyperedges
+    where a count crosses a critical value (Fiduccia & Mattheyses): the
+    source count falls to 1 or 0, or the target count rises from 0 or 1;
+    the rest are skipped.  Each pass starts from a snapshot of exact
+    tables.  After a pass that gained, every move is undone, the snapshot
+    restored and only the kept prefix replayed, updating every pin, so
+    the next pass starts exact again without a rebuild.
 
     Each move takes the highest gain among targets within the cap, ties
     to the lowest vertex and then the lowest part.  Weights are integers
@@ -323,30 +351,35 @@ def _refine(
         pw[parts[v]] += vw[v]
         psize[parts[v]] += 1
 
+    part_ids = range(n_parts)
+    touched = [list(compress(part_ids, ce)) for ce in counts]
+    pull = [0] * n
+    push = []
+    for v in range(n):
+        pv = parts[v]
+        acc = 0
+        pu = [inc_w[v]] * n_parts
+        for e in ve[v]:
+            w_e = lam[e]
+            if counts[e][pv] == 1:
+                acc += w_e
+            for t in touched[e]:
+                pu[t] -= w_e
+        pu[pv] = _OWN_PART
+        push.append(pu)
+        pull[v] = acc
+
     history = [cur_lam]
     neg_inf = -(1 << 62)
 
-    for _ in range(max_passes):
-        touched = [[t for t in range(n_parts) if ce[t]] for ce in counts]
-        pull = [0] * n
-        push = []
-        for v in range(n):
-            pv = parts[v]
-            acc = 0
-            pu = [inc_w[v]] * n_parts
-            for e in ve[v]:
-                w_e = lam[e]
-                if counts[e][pv] == 1:
-                    acc += w_e
-                for t in touched[e]:
-                    pu[t] -= w_e
-            pu[pv] = _OWN_PART
-            push.append(pu)
-            pull[v] = acc
+    for pass_no in range(max_passes):
+        push_snap = list(map(list.copy, push))
+        pull_snap = pull.copy()
         # lower bound on each row's min push over the parts that vertex fits
         # in; stale-low is safe for pruning
-        min_push = [min(pu) for pu in push]
+        min_push = list(map(min, push))
         locked = bytearray(n)
+        free = list(range(n))  # unlocked vertices, ascending
         moves: List[Tuple[int, int, int]] = []
         pass_lam = cur_lam
         best_idx = -1
@@ -354,9 +387,7 @@ def _refine(
         since_best = 0
         while True:
             pick_v, pick_q, pick_g = -1, -1, neg_inf
-            for v in range(n):
-                if locked[v]:
-                    continue
+            for v in free:
                 if pull[v] - min_push[v] <= pick_g:
                     continue
                 if psize[parts[v]] == 1:
@@ -375,42 +406,51 @@ def _refine(
             if pick_v == -1:
                 break
             v, q = pick_v, pick_q
+            free.remove(v)
+            locked[v] = 1
             p = parts[v]
             w_v = vw[v]
             q_room = icap - pw[q] - w_v  # heaviest vertex that fits in q after the move
             for e in ve[v]:
-                w_e = lam[e]
                 ce = counts[e]
                 cp_old = ce[p]
                 cq_old = ce[q]
-                if cp_old == 1:
-                    pass_lam -= w_e
-                if cq_old == 0:
-                    pass_lam += w_e
-                for u in pins[e]:
-                    if u == v or locked[u]:
-                        continue
-                    pu_part = parts[u]
-                    if pu_part == p and cp_old == 2:
-                        pull[u] += w_e
-                    elif pu_part == q and cq_old == 1:
-                        pull[u] -= w_e
-                    if cp_old == 1:
-                        push[u][p] += w_e
-                    if cq_old == 0:
-                        row = push[u]
-                        row[q] -= w_e
-                        if row[q] < min_push[u] and vw[u] <= q_room:
-                            min_push[u] = row[q]
                 ce[p] = cp_old - 1
                 ce[q] = cq_old + 1
+                if cp_old > 2 and cq_old > 1:
+                    continue
+                w_e = lam[e]
+                if cp_old == 1:
+                    pass_lam -= w_e
+                    for u in pins[e]:
+                        if not locked[u]:
+                            push[u][p] += w_e
+                elif cp_old == 2:
+                    for u in pins[e]:
+                        if u != v and parts[u] == p:
+                            if not locked[u]:
+                                pull[u] += w_e
+                            break
+                if cq_old == 0:
+                    pass_lam += w_e
+                    for u in pins[e]:
+                        if not locked[u]:
+                            row = push[u]
+                            row[q] -= w_e
+                            if row[q] < min_push[u] and vw[u] <= q_room:
+                                min_push[u] = row[q]
+                elif cq_old == 1:
+                    for u in pins[e]:
+                        if parts[u] == q:
+                            if not locked[u]:
+                                pull[u] -= w_e
+                            break
             p_room = icap - pw[p]
             parts[v] = q
             pw[p] -= w_v
             pw[q] += w_v
             psize[p] -= 1
             psize[q] += 1
-            locked[v] = 1
             if max_w > p_room:
                 # vertices weighing (p_room, p_room + w_v] fit in p only now
                 for u in by_weight[bisect_right(sorted_w, p_room):bisect_right(sorted_w, p_room + w_v)]:
@@ -425,10 +465,10 @@ def _refine(
                 since_best += 1
                 if since_best >= _STALL_LIMIT:
                     break
-        if not moves:
-            break
-        for i in range(len(moves) - 1, best_idx, -1):
-            v, p, q = moves[i]
+        kept = moves[: best_idx + 1]
+        # the tables matter only to a next pass; without one, undo just the tail
+        replay = kept and pass_no < max_passes - 1
+        for v, p, q in reversed(moves if replay else moves[len(kept):]):
             for e in ve[v]:
                 ce = counts[e]
                 ce[q] -= 1
@@ -438,35 +478,93 @@ def _refine(
             pw[p] += vw[v]
             psize[q] -= 1
             psize[p] += 1
-        if best_idx == -1:
+        if not kept:
             break
         cur_lam = best_lam
         history.append(cur_lam)
+        if not replay:
+            break
+        push, pull = push_snap, pull_snap
+        for v, p, q in kept:
+            for e in ve[v]:
+                ce = counts[e]
+                cp_old = ce[p]
+                cq_old = ce[q]
+                ce[p] = cp_old - 1
+                ce[q] = cq_old + 1
+                if cp_old > 2 and cq_old > 1:
+                    continue
+                w_e = lam[e]
+                if cp_old == 1:
+                    for u in pins[e]:
+                        push[u][p] += w_e
+                elif cp_old == 2:
+                    for u in pins[e]:
+                        if u != v and parts[u] == p:
+                            pull[u] += w_e
+                            break
+                if cq_old == 0:
+                    for u in pins[e]:
+                        push[u][q] -= w_e
+                elif cq_old == 1:
+                    for u in pins[e]:
+                        if parts[u] == q:
+                            pull[u] -= w_e
+                            break
+            parts[v] = q
+            pw[p] -= vw[v]
+            pw[q] += vw[v]
+            psize[p] -= 1
+            psize[q] += 1
+            # the loops above touched v's own row too; set its p and q entries and its pull
+            row = push[v]
+            row[p] = sum(lam[e] for e in ve[v] if not counts[e][p])
+            row[q] = _OWN_PART
+            pull[v] = sum(lam[e] for e in ve[v] if counts[e][q] == 1)
     return cur_lam, history
 
 @lru_cache(maxsize=8)
-def _coarsen(h: Hypergraph, n_parts: int) -> Tuple[_Level, ...]:
-    """Coarsening hierarchy, finest level first.  It does not depend on the
-    balance tolerance, so a sweep over tolerances builds it once; callers
-    must not mutate the shared levels."""
-    total_w = sum(h.vertex_weights)
-    finest = _Level(
+def _coarsen(h: Hypergraph) -> _Level:
+    """The finest level of ``h``, root of every coarsening hierarchy of it.
+
+    Coarser levels hang below it as each level's ``children``, each with
+    the interval ``[lo, hi)`` of weight caps it serves; ``_hierarchy``
+    adds them.  So this cache, keyed by the hypergraph, owns every level
+    built for ``h``, and clearing it drops them all.
+    """
+    return _Level(
         h.n_vertices,
         [list(p) for p in h.pins],
         list(h.weights),
         list(h.vertex_weights),
         list(h.order_hint) if h.order_hint is not None else list(range(h.n_vertices)),
     )
-    levels = [finest]
+
+def _hierarchy(h: Hypergraph, n_parts: int) -> List[_Level]:
+    """Coarsening hierarchy for ``n_parts``, finest level first.
+
+    The contraction of a level depends on the part count only through
+    ``coarse_cap``, so a level built for one part count is reused for any
+    other whose cap falls in the child's interval; it does not depend on
+    the balance tolerance at all.  Callers must not mutate the levels.
+    """
+    level = _coarsen(h)
+    levels = [level]
     floor = max(2 * n_parts, 12)
     # at most an ideal part's weight: below every cap, and the same for every tolerance
-    coarse_cap = max(total_w / n_parts, float(max(h.vertex_weights, default=0)))
-    while levels[-1].n > floor:
-        nxt = _match_level(levels[-1], coarse_cap)
-        if nxt is None or nxt.n >= levels[-1].n:
+    coarse_cap = max(sum(h.vertex_weights) / n_parts, float(max(h.vertex_weights, default=0)))
+    while level.n > floor:
+        for lo, hi, child in level.children:
+            if lo <= coarse_cap < hi:
+                break
+        else:
+            child, lo, hi = _match_level(level, coarse_cap)
+            level.children.append((lo, hi, child))
+        if child is None:
             break
-        levels.append(nxt)
-    return tuple(levels)
+        levels.append(child)
+        level = child
+    return levels
 
 def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partition:
     """Split vertices into ``n_parts`` non-empty groups, minimizing the
@@ -492,7 +590,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     cap = eps * total_w / n_parts
     cap_eff = max(cap, float(max(h.vertex_weights, default=0)))
 
-    levels = _coarsen(h, n_parts)
+    levels = _hierarchy(h, n_parts)
     finest = levels[0]
 
     coarsest = levels[-1]

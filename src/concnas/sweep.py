@@ -27,6 +27,15 @@ from .score import DEFAULT_EPS_GRID, DEFAULT_WEIGHTS, concurrency_score
 
 DEFAULT_GENERATORS = ("er", "ba", "ws", "dp", "fb")
 DEFAULT_UNITS = (4, 6, 8, 10)
+# the fields that set each family's generator; each sets the parameter
+# named after its family prefix, and fb stages share the ws lattice
+FAMILY_FIELDS = {
+    "er": ("er_p",),
+    "ba": ("ba_m",),
+    "ws": ("ws_k", "ws_p"),
+    "dp": ("dp_p", "dp_alpha", "dp_beta"),
+    "fb": ("ws_k", "ws_p", "fb_stages"),
+}
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -34,6 +43,8 @@ class SweepConfig:
 
     Construction checks every field and builds each requested family's
     generator config once, so a bad value fails before any sample runs.
+    A family's config that fails names the family and the fields that set
+    it, spelled as the CLI flags that fill them.
     """
 
     generators: Tuple[str, ...] = DEFAULT_GENERATORS
@@ -59,7 +70,13 @@ class SweepConfig:
         if not self.generators:
             raise ValueError("need at least one generator")
         for kind in self.generators:
-            generator_config(self, kind, self.master_seed)
+            try:
+                generator_config(self, kind, self.master_seed)
+            except ValueError as exc:
+                if kind not in FAMILY_FIELDS:
+                    raise
+                flags = [f"--{name.replace('_', '-')}={getattr(self, name)}" for name in FAMILY_FIELDS[kind]]
+                raise ValueError(f"{kind} generator, set by {', '.join(flags)} and --n={self.n_vertices}: {exc}") from None
         if self.samples < 1 or self.workers < 1:
             raise ValueError(f"samples and workers must be at least 1, got {self.samples} and {self.workers}")
         if not self.units or min(self.units) < 2:
@@ -70,15 +87,9 @@ class SweepConfig:
             raise ValueError(f"need exactly three weights, got {self.weights}")
 
 def generator_config(cfg: SweepConfig, kind: str, seed: int) -> GeneratorConfig:
-    """The sweep's parameters for family ``kind``; fb stages share the ws lattice."""
-    params = {
-        "er": dict(p=cfg.er_p),
-        "ba": dict(m=cfg.ba_m),
-        "ws": dict(k=cfg.ws_k, p=cfg.ws_p),
-        "dp": dict(p=cfg.dp_p, alpha=cfg.dp_alpha, beta=cfg.dp_beta),
-        "fb": dict(k=cfg.ws_k, p=cfg.ws_p, stages=cfg.fb_stages),
-    }
-    return GeneratorConfig(kind=kind, n_vertices=cfg.n_vertices, seed=seed, **params.get(kind, {}))
+    """The sweep's parameters for family ``kind``."""
+    params = {name.split("_", 1)[1]: getattr(cfg, name) for name in FAMILY_FIELDS.get(kind, ())}
+    return GeneratorConfig(kind=kind, n_vertices=cfg.n_vertices, seed=seed, **params)
 
 def elaborate_with(cfg: ElaborationConfig, dag: ArchDag, seed: int, staging: str | None = None) -> ArchSpec:
     """``elaborate`` under ``cfg``'s settings; ``staging`` overrides its policy."""

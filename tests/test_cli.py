@@ -225,6 +225,9 @@ def _same_output_as(*argv):
     return check
 
 
+_UNCHANGED = _edit(lambda doc: None)
+
+
 # case: (argv, config file contents, change to a gen output passed as
 #        --arch, exit code, stderr prefix or check of a successful run)
 CONTRACT = {
@@ -256,6 +259,18 @@ CONTRACT = {
     "arch-flops-raised": (("simulate",), None, _add_flops(1000), 2, "i/o error:"),
     "arch-channels-text": (("simulate",), None, _edit(lambda doc: _block(doc).update(channels="x")), 2, "i/o error:"),
     "arch-edge-bytes-row-dropped": (("partition",), None, _edit(lambda doc: doc["edge_bytes"].pop()), 2, "i/o error:"),
+    "sweep-ws-k-names-family": (("sweep", "--n", "6"), None, None, 1, "usage error: ws generator, set by --ws-k=6"),
+    "arch-with-generator-flags-simulate": (
+        ("simulate", "--kind", "er", "--p", "0.9", "--channels", "8"), None, _UNCHANGED, 1,
+        "usage error: --arch fixes the architecture, so --kind, --p, --channels would be ignored",
+    ),
+    "arch-with-staging-score": (("score", "--staging", "greedy"), None, _UNCHANGED, 1, "usage error: --arch fixes"),
+    "arch-with-channel-limit-partition": (
+        ("partition", "--channel-limit", "64"), None, _UNCHANGED, 1, "usage error: --arch fixes",
+    ),
+    "arch-with-seed-histogram": (("histogram", "--seed", "2"), None, _UNCHANGED, 1, "usage error: --arch fixes"),
+    "arch-with-config-kind": (("simulate",), {"kind": "er"}, _UNCHANGED, 1, "usage error: --arch fixes"),
+    "arch-with-seed-score": (("score", "--seed", "3", "--units", "4"), None, _UNCHANGED, 0, _one_score_line_at_4),
 }
 
 

@@ -5,7 +5,9 @@ brute-force enumerator over all bipartitions serves as the quality
 oracle at small sizes.  The FM refiner that rescans every unpruned
 vertex row before each move, with a bound that ignores the cap, is kept
 below as the reference: the library's ``_refine`` must return equal
-results on every input.
+results on every input.  Likewise a coarsening that builds a fresh
+hierarchy for every part count is the reference for the levels that
+``_hierarchy`` shares between part counts.
 """
 
 from __future__ import annotations
@@ -475,8 +477,8 @@ def random_vertex_weights(rng, n):
     return vw
 
 
-def random_weighted_hypergraph(rng, max_n):
-    n = rng.randrange(3, max_n + 1)
+def random_weighted_hypergraph(rng, max_n, min_n=3):
+    n = rng.randrange(min_n, max_n + 1)
     pins = []
     for _ in range(rng.randrange(1, 3 * n)):
         size = rng.randrange(2, min(n, 6) + 1)
@@ -499,27 +501,33 @@ def sweep_hypergraph(kind, index):
 
 def test_refine_matches_reference_on_random_levels():
     rng = random.Random(0x5EF1)
-    for _ in range(1500):
-        h = random_weighted_hypergraph(rng, 40)
-        n = h.n_vertices
-        vw = list(h.vertex_weights)
-        level = _Level(n, [list(p) for p in h.pins], list(h.weights), vw, list(range(n)))
-        n_parts = rng.randrange(2, min(n, 12) + 1)
-        parts = [rng.randrange(n_parts) for _ in range(n)]
-        total = sum(vw)
-        cap = rng.choice(
-            (
-                float(rng.randrange(0, total + 1)),
-                rng.uniform(0.0, 1.5 * total / n_parts),
-                rng.uniform(1.0, 3.7) * total / n_parts,
-                max(max(vw), total / n_parts),
+    bands = (
+        (1500, 3, 40, 12, (1, 4, _MAX_PASSES)),
+        # partition-large's shape: long kept prefixes replayed over many passes
+        (150, 60, 129, 16, (_MAX_PASSES,)),
+    )
+    for cases, min_n, max_n, max_parts, pass_choices in bands:
+        for _ in range(cases):
+            h = random_weighted_hypergraph(rng, max_n, min_n)
+            n = h.n_vertices
+            vw = list(h.vertex_weights)
+            level = _Level(n, [list(p) for p in h.pins], list(h.weights), vw, list(range(n)))
+            n_parts = rng.randrange(2, min(n, max_parts) + 1)
+            parts = [rng.randrange(n_parts) for _ in range(n)]
+            total = sum(vw)
+            cap = rng.choice(
+                (
+                    float(rng.randrange(0, total + 1)),
+                    rng.uniform(0.0, 1.5 * total / n_parts),
+                    rng.uniform(1.0, 3.7) * total / n_parts,
+                    max(max(vw), total / n_parts),
+                )
             )
-        )
-        passes = rng.choice((1, 4, _MAX_PASSES))
-        ref_parts, new_parts = list(parts), list(parts)
-        expected = reference_refine(level, ref_parts, n_parts, cap, passes)
-        assert _refine(level, new_parts, n_parts, cap, passes) == expected, (h, parts, cap)
-        assert new_parts == ref_parts
+            passes = rng.choice(pass_choices)
+            ref_parts, new_parts = list(parts), list(parts)
+            expected = reference_refine(level, ref_parts, n_parts, cap, passes)
+            assert _refine(level, new_parts, n_parts, cap, passes) == expected, (h, parts, cap)
+            assert new_parts == ref_parts
 
 
 def test_partition_matches_reference_refiner(monkeypatch):
@@ -541,3 +549,106 @@ def test_partition_matches_reference_refiner(monkeypatch):
     monkeypatch.setattr(hypart, "_refine", reference_refine)
     for case, p in zip(cases, got):
         assert partition(*case) == p, case
+
+
+def reference_match_level(level, weight_cap):
+    """Greedy matching on shared hyperedge weight that sorts each vertex's
+    candidates by id and keeps the first with the most shared weight."""
+    n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
+    ve = level.ve
+    mate = [-1] * n
+    matched = 0
+    for v in sorted(range(n), key=lambda v: (-vw[v], v)):
+        if mate[v] != -1:
+            continue
+        shared = {}
+        for e in ve[v]:
+            if len(pins[e]) > hypart._MATCH_PIN_LIMIT:
+                continue
+            for u in pins[e]:
+                if u != v and mate[u] == -1:
+                    shared[u] = shared.get(u, 0) + lam[e]
+        best_u, best_s = -1, 0
+        for u, s in sorted(shared.items()):
+            if vw[v] + vw[u] > weight_cap:
+                continue
+            if s > best_s:
+                best_u, best_s = u, s
+        if best_u != -1:
+            mate[v] = best_u
+            mate[best_u] = v
+            matched += 1
+    if matched == 0:
+        return None
+    hint = level.hint
+    coarse_of = [-1] * n
+    chint = [] if hint else None
+    next_id = 0
+    for v in range(n):
+        if coarse_of[v] != -1:
+            continue
+        coarse_of[v] = next_id
+        if mate[v] > v:
+            coarse_of[mate[v]] = next_id
+        if chint is not None:
+            chint.append(min(hint[v], hint[mate[v]]) if mate[v] > v else hint[v])
+        next_id += 1
+    cvw = [0] * next_id
+    for v in range(n):
+        cvw[coarse_of[v]] += vw[v]
+    merged = {}
+    for pin, w_e in zip(pins, lam):
+        cp = tuple(sorted({coarse_of[v] for v in pin}))
+        if len(cp) > 1:
+            merged[cp] = merged.get(cp, 0) + w_e
+    return _Level(next_id, [list(p) for p in merged], list(merged.values()), cvw, chint, fine_map=coarse_of)
+
+
+def reference_coarsen(h, n_parts):
+    """A fresh hierarchy for one part count, sharing nothing."""
+    levels = [
+        _Level(
+            h.n_vertices,
+            [list(p) for p in h.pins],
+            list(h.weights),
+            list(h.vertex_weights),
+            list(h.order_hint) if h.order_hint is not None else list(range(h.n_vertices)),
+        )
+    ]
+    coarse_cap = max(sum(h.vertex_weights) / n_parts, float(max(h.vertex_weights, default=0)))
+    while levels[-1].n > max(2 * n_parts, 12):
+        nxt = reference_match_level(levels[-1], coarse_cap)
+        if nxt is None:
+            break
+        levels.append(nxt)
+    return levels
+
+
+def light_vertex_hypergraph(rng):
+    """Weights 1 to 3 on few vertices, so that an ideal part's weight
+    often equals a pair weight that a larger part count's cap excluded."""
+    h = random_weighted_hypergraph(rng, 40, 13)
+    n = h.n_vertices
+    return Hypergraph(n, h.pins, h.weights, tuple(rng.randrange(1, 4) for _ in range(n)))
+
+
+def test_coarsen_shared_across_part_counts_matches_reference():
+    rng = random.Random(0xC0A5)
+    graphs = [random_weighted_hypergraph(rng, 129) for _ in range(100)]
+    graphs += [light_vertex_hypergraph(rng) for _ in range(100)]
+    cfg = SweepConfig()
+    graphs += [sweep_hypergraph(kind, index) for kind in cfg.generators for index in range(3)]
+    for h in graphs:
+        ks = list(range(2, min(h.n_vertices, 16) + 1))
+        for _ in range(2):
+            rng.shuffle(ks)
+            hypart._coarsen.cache_clear()
+            for k in ks:
+                got = hypart._hierarchy(h, k)
+                want = reference_coarsen(h, k)
+                assert len(got) == len(want), (h, k)
+                for a, b in zip(got, want):
+                    assert (a.n, a.pins, a.lam, a.vw, a.hint, a.fine_map) == (
+                        b.n, b.pins, b.lam, b.vw, b.hint, b.fine_map
+                    ), (h, k)
+    hypart._coarsen.cache_clear()
