@@ -19,12 +19,16 @@ its floor, and prunes each move's scan with a bound on the gain over
 only the parts a vertex fits in.  Results are deterministic for a fixed
 seed.
 
-Nothing unchanged is recomputed.  Coarsening levels are cached per
-hypergraph, and a level is shared by every part count whose weight cap
-lies in the interval over which its matching's weight tests agree.
-Refinement builds its gain tables once per call and carries them from
-pass to pass; a move updates them only on hyperedges whose part counts
-cross a critical value.
+Coarsening levels are cached per hypergraph, and a level is shared by
+every part count whose weight cap lies in the interval over which its
+matching's weight tests agree.  Refinement derives its gain tables from
+the partition with one numpy kernel, ``_tables``: matrix products over
+the level's 0/1 incidence matrix, in float64.  Hyperedge weights are
+non-negative integers whose total is below 2**53, so every partial sum
+is an integer float64 holds exactly, whatever order BLAS adds in.  The
+kernel runs at the start of each ``_refine`` call and after each pass
+that gained; within a pass a move updates the tables only on hyperedges
+whose part counts cross a critical value.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain
+from operator import mul
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .archmodel import ArchSpec
 from .dagify import topological_order
@@ -59,10 +66,14 @@ class Hypergraph:
             raise ValueError("one weight per hyperedge required")
         if len(self.vertex_weights) != self.n_vertices:
             raise ValueError("one weight per vertex required")
-        for w in self.vertex_weights:
-            # the partitioner tests its balance cap on integer part weights
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"vertex weight is not a non-negative integer: {w!r}")
+        # the partitioner tests its balance cap on integer part weights, and
+        # sums hyperedge weights in float64, exact only below 2**53
+        for kind, ws in (("vertex", self.vertex_weights), ("hyperedge", self.weights)):
+            for w in ws:
+                if not isinstance(w, int) or w < 0:
+                    raise ValueError(f"{kind} weight is not a non-negative integer: {w!r}")
+        if sum(self.weights) >= 1 << 53:
+            raise ValueError(f"total hyperedge weight must be below 2**53, got {sum(self.weights)}")
         for e in self.pins:
             if len(set(e)) != len(e):
                 raise ValueError(f"duplicate pins in hyperedge {e}")
@@ -135,7 +146,7 @@ class _Level:
     """One coarsening level, shared between calls: read only, apart from
     ``children``, which ``_hierarchy`` extends."""
 
-    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve", "inc_w", "by_weight", "sorted_w", "children")
+    __slots__ = ("n", "pins", "lam", "vw", "hint", "fine_map", "ve", "incidence", "by_weight", "sorted_w", "children")
 
     def __init__(self, n, pins, lam, vw, hint, fine_map=None):
         self.n = n
@@ -148,7 +159,8 @@ class _Level:
         for e, pin in enumerate(pins):
             for v in pin:
                 self.ve[v].append(e)
-        self.inc_w = [sum(map(lam.__getitem__, es)) for es in self.ve]  # incident hyperedge weight
+        self.incidence = np.zeros((len(pins), n), dtype=np.uint8)  # hyperedge x vertex, 1 for a pin
+        self.incidence[np.repeat(np.arange(len(pins)), list(map(len, pins))), list(chain.from_iterable(pins))] = 1
         self.by_weight = sorted(range(n), key=lambda v: vw[v])  # for bisect on sorted_w
         self.sorted_w = [vw[v] for v in self.by_weight]
         # (lo, hi, contraction): the next level for every weight cap in [lo, hi), None if nothing matches
@@ -306,20 +318,46 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: float) -> Non
 _STALL_LIMIT = 10  # tentative moves allowed past the best prefix before a pass aborts
 _OWN_PART = 1 << 63  # push entry of a vertex's own part, so min_push bounds real targets
 
+def _tables(
+    level: _Level, parts: Sequence[int], n_parts: int
+) -> Tuple[List[List[int]], List[List[int]], List[int], int]:
+    """Gain tables of ``parts``: ``counts[e][t]``, the pins of hyperedge e
+    in part t; ``push[v][t]``, the weight of v's hyperedges with no pin in
+    part t (``_OWN_PART`` on v's own part); ``pull[v]``, the weight of v's
+    hyperedges where v is its part's only pin; and the connectivity.
+
+    Matrix products over the level's incidence matrix, widened to float64
+    per call.  Every partial sum is a pin count or a sum of distinct
+    hyperedge weights, so an integer below 2**53 while ``Hypergraph``
+    keeps the total hyperedge weight there, and float64 holds it exactly.
+    """
+    inc = level.incidence.astype(np.float64)
+    lam = np.array(level.lam, dtype=np.float64)[:, None]
+    in_part = np.eye(n_parts).take(parts, axis=0)  # vertex x part, 1 for its own part
+    counts = inc @ in_part
+    absent = counts == 0
+    push = (inc.T @ (lam * absent)).astype(np.int64).tolist()
+    for row, p in zip(push, parts):
+        row[p] = _OWN_PART
+    pull = ((inc.T @ (lam * (counts == 1))) * in_part).sum(axis=1).astype(np.int64).tolist()
+    connectivity = (n_parts - 1) * sum(level.lam) - sum(map(mul, level.lam, absent.sum(axis=1).tolist()))
+    return counts.astype(np.int64).tolist(), push, pull, connectivity
+
 def _refine(
     level: _Level, parts: List[int], n_parts: int, cap: float, max_passes: int = _MAX_PASSES
 ) -> Tuple[int, List[int]]:
     """FM passes until no pass improves; returns (lam, per-pass history).
 
     Move gains are kept as pull (edges where the vertex is alone in its
-    part) minus push (edges absent from the target part).  Both tables
-    are built once per call.  A move changes them only on the hyperedges
-    where a count crosses a critical value (Fiduccia & Mattheyses): the
-    source count falls to 1 or 0, or the target count rises from 0 or 1;
-    the rest are skipped.  Each pass starts from a snapshot of exact
-    tables.  After a pass that gained, every move is undone, the snapshot
-    restored and only the kept prefix replayed, updating every pin, so
-    the next pass starts exact again without a rebuild.
+    part) minus push (edges absent from the target part).  ``_tables``
+    derives both, with the part counts, at the start of the call and
+    again after each pass that gained, once the moves past the best
+    prefix are undone; the kernel is exact while the total hyperedge
+    weight is below 2**53.  Within a pass a move changes the tables only
+    on the hyperedges where a count crosses a critical value (Fiduccia &
+    Mattheyses): the source count falls to 1 or 0, or the target count
+    rises from 0 or 1; the rest are skipped.  Locked vertices' rows are
+    left stale, since no later move of the pass reads them.
 
     Each move takes the highest gain among targets within the cap, ties
     to the lowest vertex and then the lowest part.  Weights are integers
@@ -333,48 +371,21 @@ def _refine(
     ``bisect``).
     """
     n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
-    ve, inc_w = level.ve, level.inc_w
+    ve = level.ve
     by_weight, sorted_w = level.by_weight, level.sorted_w
     max_w = sorted_w[-1]
     icap = math.floor(cap)
-    counts = [[0] * n_parts for _ in pins]
-    for e, pin in enumerate(pins):
-        ce = counts[e]
-        for v in pin:
-            ce[parts[v]] += 1
-    cur_lam = 0
-    for e in range(len(pins)):
-        cur_lam += lam[e] * (n_parts - counts[e].count(0) - 1)
-    pw = [0] * n_parts
+    pw = _loads(vw, parts, n_parts)
     psize = [0] * n_parts
-    for v in range(n):
-        pw[parts[v]] += vw[v]
-        psize[parts[v]] += 1
-
-    part_ids = range(n_parts)
-    touched = [list(compress(part_ids, ce)) for ce in counts]
-    pull = [0] * n
-    push = []
-    for v in range(n):
-        pv = parts[v]
-        acc = 0
-        pu = [inc_w[v]] * n_parts
-        for e in ve[v]:
-            w_e = lam[e]
-            if counts[e][pv] == 1:
-                acc += w_e
-            for t in touched[e]:
-                pu[t] -= w_e
-        pu[pv] = _OWN_PART
-        push.append(pu)
-        pull[v] = acc
-
+    for p in parts:
+        psize[p] += 1
+    counts, push, pull, cur_lam = _tables(level, parts, n_parts)
     history = [cur_lam]
     neg_inf = -(1 << 62)
 
     for pass_no in range(max_passes):
-        push_snap = list(map(list.copy, push))
-        pull_snap = pull.copy()
+        if pass_no:
+            counts, push, pull, _ = _tables(level, parts, n_parts)
         # lower bound on each row's min push over the parts that vertex fits
         # in; stale-low is safe for pruning
         min_push = list(map(min, push))
@@ -465,62 +476,16 @@ def _refine(
                 since_best += 1
                 if since_best >= _STALL_LIMIT:
                     break
-        kept = moves[: best_idx + 1]
-        # the tables matter only to a next pass; without one, undo just the tail
-        replay = kept and pass_no < max_passes - 1
-        for v, p, q in reversed(moves if replay else moves[len(kept):]):
-            for e in ve[v]:
-                ce = counts[e]
-                ce[q] -= 1
-                ce[p] += 1
+        for v, p, q in moves[best_idx + 1:]:
             parts[v] = p
             pw[q] -= vw[v]
             pw[p] += vw[v]
             psize[q] -= 1
             psize[p] += 1
-        if not kept:
+        if best_idx == -1:
             break
         cur_lam = best_lam
         history.append(cur_lam)
-        if not replay:
-            break
-        push, pull = push_snap, pull_snap
-        for v, p, q in kept:
-            for e in ve[v]:
-                ce = counts[e]
-                cp_old = ce[p]
-                cq_old = ce[q]
-                ce[p] = cp_old - 1
-                ce[q] = cq_old + 1
-                if cp_old > 2 and cq_old > 1:
-                    continue
-                w_e = lam[e]
-                if cp_old == 1:
-                    for u in pins[e]:
-                        push[u][p] += w_e
-                elif cp_old == 2:
-                    for u in pins[e]:
-                        if u != v and parts[u] == p:
-                            pull[u] += w_e
-                            break
-                if cq_old == 0:
-                    for u in pins[e]:
-                        push[u][q] -= w_e
-                elif cq_old == 1:
-                    for u in pins[e]:
-                        if parts[u] == q:
-                            pull[u] -= w_e
-                            break
-            parts[v] = q
-            pw[p] -= vw[v]
-            pw[q] += vw[v]
-            psize[p] -= 1
-            psize[q] += 1
-            # the loops above touched v's own row too; set its p and q entries and its pull
-            row = push[v]
-            row[p] = sum(lam[e] for e in ve[v] if not counts[e][p])
-            row[q] = _OWN_PART
-            pull[v] = sum(lam[e] for e in ve[v] if counts[e][q] == 1)
     return cur_lam, history
 
 @lru_cache(maxsize=8)

@@ -5,9 +5,10 @@ brute-force enumerator over all bipartitions serves as the quality
 oracle at small sizes.  The FM refiner that rescans every unpruned
 vertex row before each move, with a bound that ignores the cap, is kept
 below as the reference: the library's ``_refine`` must return equal
-results on every input.  Likewise a coarsening that builds a fresh
-hierarchy for every part count is the reference for the levels that
-``_hierarchy`` shares between part counts.
+results on every input.  The Python build of the gain tables is the
+reference for the numpy kernel ``_tables``.  Likewise a coarsening that
+builds a fresh hierarchy for every part count is the reference for the
+levels that ``_hierarchy`` shares between part counts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from concnas.hypart import (
     Hypergraph,
     _Level,
     _refine,
+    _tables,
     build_hypergraph,
     load_imbalance,
     part_weights,
@@ -263,10 +265,16 @@ def test_partition_rejects_bad_arguments():
             partition(h, 2, eps)
 
 
-@pytest.mark.parametrize("weight", [2.0, 2.5, -1, "3"])
-def test_hypergraph_rejects_weight_that_is_not_a_nonnegative_int(weight):
-    with pytest.raises(ValueError, match="non-negative integer"):
-        Hypergraph(n_vertices=2, pins=((0, 1),), weights=(1,), vertex_weights=(1, weight))
+@pytest.mark.parametrize(
+    "weights, vertex_weights",
+    [pytest.param((1,), (1, w), id=str(w)) for w in (2.0, 2.5, -1, "3")]
+    + [pytest.param((w,), (1, 1), id=f"hyperedge-{w}") for w in (2.0, 2.5, -1, "3")]
+    # the gain tables sum hyperedge weights in float64, exact below 2**53
+    + [pytest.param((2**52, 2**52), (1, 1), id="hyperedge-total-2**53")],
+)
+def test_hypergraph_rejects_weight_that_is_not_a_nonnegative_int(weights, vertex_weights):
+    with pytest.raises(ValueError, match=r"non-negative integer|below 2\*\*53"):
+        Hypergraph(n_vertices=2, pins=((0, 1),) * len(weights), weights=weights, vertex_weights=vertex_weights)
 
 
 def test_hypergraph_needs_one_weight_per_vertex():
@@ -466,6 +474,40 @@ def reference_refine(level, parts, n_parts, cap, max_passes=_MAX_PASSES):
     return cur_lam, history
 
 
+def reference_tables(level, parts, n_parts):
+    """The Python build of ``_tables``: part counts per hyperedge, the
+    connectivity, and push rows that start at each vertex's incident
+    hyperedge weight and subtract every hyperedge once per part it
+    touches."""
+    n, pins, lam = level.n, level.pins, level.lam
+    ve = level.ve
+    counts = [[0] * n_parts for _ in pins]
+    for e, pin in enumerate(pins):
+        ce = counts[e]
+        for v in pin:
+            ce[parts[v]] += 1
+    connectivity = 0
+    for e in range(len(pins)):
+        connectivity += lam[e] * (n_parts - counts[e].count(0) - 1)
+    touched = [[t for t in range(n_parts) if ce[t]] for ce in counts]
+    pull = [0] * n
+    push = []
+    for v in range(n):
+        pv = parts[v]
+        acc = 0
+        pu = [sum(lam[e] for e in ve[v])] * n_parts
+        for e in ve[v]:
+            w_e = lam[e]
+            if counts[e][pv] == 1:
+                acc += w_e
+            for t in touched[e]:
+                pu[t] -= w_e
+        pu[pv] = _OWN_PART
+        push.append(pu)
+        pull[v] = acc
+    return counts, push, pull, connectivity
+
+
 def random_vertex_weights(rng, n):
     """Small weights, all zero, or small weights with one heavy outlier."""
     mode = rng.randrange(4)
@@ -528,6 +570,32 @@ def test_refine_matches_reference_on_random_levels():
             expected = reference_refine(level, ref_parts, n_parts, cap, passes)
             assert _refine(level, new_parts, n_parts, cap, passes) == expected, (h, parts, cap)
             assert new_parts == ref_parts
+
+
+def test_tables_match_reference_on_random_levels():
+    rng = random.Random(0x7AB5)
+    levels = []
+    for _ in range(300):
+        h = random_weighted_hypergraph(rng, 129)
+        levels.append((h.n_vertices, list(h.pins), list(h.weights)))
+    # at the weight bound every bit of float64's mantissa is in use
+    heavy = [rng.randrange(2**46, 2**47) for _ in range(40)]
+    heavy.append(2**53 - 1 - sum(heavy))
+    h = Hypergraph(
+        n_vertices=90,
+        pins=tuple(tuple(sorted(rng.sample(range(90), rng.randrange(2, 7)))) for _ in heavy),
+        weights=tuple(heavy),
+        vertex_weights=(1,) * 90,
+    )
+    levels.append((h.n_vertices, list(h.pins), list(h.weights)))
+    levels.append((7, [], []))  # every hyperedge contracted away
+    for n, pins, lam in levels:
+        level = _Level(n, [list(p) for p in pins], lam, [1] * n, list(range(n)))
+        for _ in range(3):
+            n_parts = rng.randrange(2, min(n, 16) + 1)
+            parts = [rng.randrange(n_parts) for _ in range(n)]
+            # repr also tells an int from an equal float
+            assert repr(_tables(level, parts, n_parts)) == repr(reference_tables(level, parts, n_parts)), (n, pins, lam, parts)
 
 
 def test_partition_matches_reference_refiner(monkeypatch):
