@@ -21,7 +21,7 @@ from .randgraph import (
     ring_distance,
 )
 from .dagify import ArchDag, depth_width_histogram, longest_path_length, orient
-from .archmodel import ArchSpec, BlockSpec, block_flops, block_params, elaborate
+from .archmodel import ArchSpec, BlockSpec, ElaborationConfig, block_flops, block_params, elaborate
 from .hypart import (
     Hypergraph,
     Partition,
@@ -50,6 +50,7 @@ __all__ = [
     "ArchSpec",
     "BlockSpec",
     "CostParams",
+    "ElaborationConfig",
     "GeneratorConfig",
     "GroupedDag",
     "Hypergraph",

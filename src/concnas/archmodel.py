@@ -10,10 +10,14 @@ Staging halves the spatial size and doubles the channel count of a
 block.  Three policies: ``greedy`` stages every block that still has
 channel room, ``probabilistic`` stages eligible blocks with a fixed
 probability (independent per-block streams), ``uniform`` never stages.
+A block stages only while its spatial size is even; a staging that the
+policy wants but an odd size blocks counts as suppressed.
 
-All shapes derive from the single input shape by matched halving and
+All shapes derive from the single input shape by exact halving and
 doubling, so any two shapes in one architecture are power-of-two
 related.  Costs are exact integer FLOP, parameter and byte counts.
+Every setting comes from one ``ElaborationConfig``, which the
+architecture keeps and its file records.
 """
 
 from __future__ import annotations
@@ -146,17 +150,14 @@ def block_params(b: BlockSpec) -> int:
 class ArchSpec:
     """Fully costed architecture: DAG, per-vertex blocks, exact costs.
 
+    ``elaboration`` holds the settings it was elaborated under.
     ``out_bytes[v]`` is the size of v's output map, which every consumer
     of v receives whole.
     """
 
     dag: ArchDag
     blocks: Tuple[BlockSpec, ...]
-    input_shape: Tuple[int, int]
-    channel_limit: int
-    staging: str
-    staging_prob: float
-    bytes_per_element: int
+    elaboration: ElaborationConfig
     seed: int
     vertex_flops: Tuple[int, ...]
     vertex_params: Tuple[int, ...]
@@ -171,32 +172,19 @@ class ArchSpec:
     def total_params(self) -> int:
         return sum(self.vertex_params)
 
-def elaborate(
-    dag: ArchDag,
-    input_shape: Tuple[int, int] = (32, 16),
-    channel_limit: int = 256,
-    staging: str = "probabilistic",
-    staging_prob: float = 0.5,
-    bytes_per_element: int = 4,
-    seed: int = 0,
-) -> ArchSpec:
+def elaborate(dag: ArchDag, config: ElaborationConfig = ElaborationConfig(), seed: int = 0) -> ArchSpec:
     """Assign shapes and costs to every vertex of ``dag``.
 
-    Args:
-        dag: oriented architecture graph.
-        input_shape: (spatial, channels) of the network input.
-        channel_limit: staging stops once doubling would exceed this.
-        staging: one of ``greedy``, ``probabilistic``, ``uniform``.
-        staging_prob: per-block staging probability in probabilistic mode.
-        bytes_per_element: feature element width used for output byte costs.
-        seed: stream seed for the per-block staging coins.
+    Each block takes the smallest spatial size and the largest channel
+    count among its inputs.  It stages when ``config.staging`` wants it
+    to and doubling stays within ``config.channel_limit``, and only
+    while its spatial size is even.  ``seed`` seeds the per-block
+    staging coins of the probabilistic policy.
 
     Returns:
         ArchSpec with one BlockSpec per vertex and exact integer costs.
     """
-    s0, c0 = input_shape
-    ElaborationConfig(s0, c0, channel_limit, staging, staging_prob, bytes_per_element)  # checks the settings
-
+    s0, c0 = config.input_spatial, config.input_channels
     pred = dag.predecessors()
     blocks: list[Optional[BlockSpec]] = [None] * dag.n_vertices
     suppressed = 0
@@ -217,14 +205,14 @@ def elaborate(
             else:
                 blocks[v] = BlockSpec(kind, s_u, c_u, False, s_u, c_u, shapes, pools, proj)
             continue
-        eligible = 2 * c_u <= channel_limit
-        if staging == "greedy":
+        eligible = 2 * c_u <= config.channel_limit
+        if config.staging == "greedy":
             want = eligible
-        elif staging == "uniform":
+        elif config.staging == "uniform":
             want = False
         else:
-            want = eligible and substream(seed, KEY_STAGING, v).random() < staging_prob
-        feasible = s_u >= 2
+            want = eligible and substream(seed, KEY_STAGING, v).random() < config.staging_prob
+        feasible = s_u % 2 == 0
         staged = eligible and want and feasible
         if eligible and want and not feasible:
             suppressed += 1
@@ -234,21 +222,15 @@ def elaborate(
             blocks[v] = BlockSpec(kind, s_u, c_u, False, s_u, c_u, shapes, pools, proj)
 
     done = tuple(blocks)  # type: ignore[arg-type]
-    flops = tuple(block_flops(b) for b in done)
-    params = tuple(block_params(b) for b in done)
     return ArchSpec(
         dag=dag,
         blocks=done,
-        input_shape=(s0, c0),
-        channel_limit=channel_limit,
-        staging=staging,
-        staging_prob=staging_prob,
-        bytes_per_element=bytes_per_element,
+        elaboration=config,
         seed=seed,
-        vertex_flops=flops,
-        vertex_params=params,
+        vertex_flops=tuple(block_flops(b) for b in done),
+        vertex_params=tuple(block_params(b) for b in done),
         suppressed_stagings=suppressed,
-        out_bytes=tuple(b.spatial * b.spatial * b.channels * bytes_per_element for b in done),
+        out_bytes=tuple(b.spatial * b.spatial * b.channels * config.bytes_per_element for b in done),
     )
 
 def _pool_steps(spatial: int, target: int) -> int:
@@ -265,12 +247,13 @@ def _pool_steps(spatial: int, target: int) -> int:
 
 def arch_to_dict(a: ArchSpec) -> dict:
     doc = dag_to_dict(a.dag)
+    cfg = a.elaboration
     doc["elaboration"] = {
-        "input_shape": list(a.input_shape),
-        "channel_limit": a.channel_limit,
-        "staging": a.staging,
-        "staging_prob": a.staging_prob,
-        "bytes_per_element": a.bytes_per_element,
+        "input_shape": [cfg.input_spatial, cfg.input_channels],
+        "channel_limit": cfg.channel_limit,
+        "staging": cfg.staging,
+        "staging_prob": cfg.staging_prob,
+        "bytes_per_element": cfg.bytes_per_element,
         "seed": a.seed,
         "suppressed_stagings": a.suppressed_stagings,
     }
@@ -306,7 +289,10 @@ def read_arch(path: str | Path) -> ArchSpec:
     try:
         settings = dict(doc["elaboration"])
         del settings["suppressed_stagings"]
-        arch = elaborate(dag_from_dict(doc), **settings)
+        seed = settings.pop("seed")
+        s0, c0 = settings.pop("input_shape")
+        config = ElaborationConfig(input_spatial=s0, input_channels=c0, **settings)
+        arch = elaborate(dag_from_dict(doc), config, seed)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ArchFileError(f"{path}: not an architecture file ({type(exc).__name__}: {exc})") from None
     if json.dumps(arch_to_dict(arch), sort_keys=True) != json.dumps(doc, sort_keys=True):

@@ -26,13 +26,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, read_arch, write_arch
+from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, elaborate, read_arch, write_arch
 from .dagify import depth_width_histogram, longest_path_length, orient, to_dot
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv
 from .hypart import build_hypergraph, partition, write_hmetis, write_partition
 from .randgraph import GeneratorConfig, generate
 from .score import concurrency_score, write_metrics_csv
-from .sweep import SweepConfig, elaborate_with, run_sweep, summarize, write_rows_csv
+from .sweep import SweepConfig, run_sweep, summarize, write_rows_csv
 
 class UsageError(Exception):
     pass
@@ -104,7 +104,7 @@ def _load_arch(args: argparse.Namespace, used=()) -> ArchSpec:
     if not hasattr(args, "kind"):
         raise UsageError("--kind (or an --arch file) is required")
     gen = _config(GeneratorConfig, args, GENERATOR_FIELDS)
-    return elaborate_with(elab, orient(generate(gen)), gen.seed)
+    return elaborate(orient(generate(gen)), elab, gen.seed)
 
 def _out_dir(args: argparse.Namespace) -> Path:
     d = Path(args.out or os.environ.get("CONCNAS_OUT") or ".")

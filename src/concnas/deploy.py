@@ -39,8 +39,8 @@ class CostParams:
     include_gather: bool = True
 
     def __post_init__(self):
-        if not self.flops_per_time > 0:
-            raise ValueError(f"flops_per_time must be positive, got {self.flops_per_time}")
+        if not 0 < self.flops_per_time < math.inf:
+            raise ValueError(f"flops_per_time must be finite and positive, got {self.flops_per_time}")
         # an infinite bandwidth is legal: transfers then cost latency only
         if not self.bytes_per_time > 0:
             raise ValueError(f"bytes_per_time must be positive, got {self.bytes_per_time}")

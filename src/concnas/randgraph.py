@@ -15,6 +15,7 @@ equal configurations serialize to identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional, Tuple
 
@@ -69,10 +70,8 @@ class GeneratorConfig:
             raise ValueError(f"attachment count must satisfy 1 <= m < n, got m={self.m}, n={n}")
         if kind in ("ws", "fb") and (self.k % 2 != 0 or self.k < 0):
             raise ValueError(f"lattice degree must be even and non-negative, got {self.k}")
-        if kind == "dp" and self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if kind == "dp" and self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if kind == "dp" and not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be finite and non-negative, got {self.alpha} and {self.beta}")
         if kind == "fb" and not 1 <= self.stages <= n:
             raise ValueError(f"stage count must satisfy 1 <= stages <= n, got {self.stages}")
         # a single stage is one ws graph, so the ws bound on k applies
@@ -87,9 +86,6 @@ class UndirectedGraph:
     stage_markers: Tuple[int, ...] = field(default=())
     # diagnostic only, not serialized: ws/fb rewire coin successes
     rewired: int = field(default=0, compare=False)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if a == v or b == v)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]

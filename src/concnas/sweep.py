@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
 from statistics import mean, median
 from typing import Dict, List, Sequence, Tuple
 
-from .archmodel import ArchSpec, ElaborationConfig, elaborate
-from .dagify import ArchDag, longest_path_length, orient
+from .archmodel import ElaborationConfig, elaborate
+from .dagify import longest_path_length, orient
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
 from .hypart import build_hypergraph
 from .randgraph import GeneratorConfig, generate
@@ -83,33 +83,21 @@ class SweepConfig:
             raise ValueError(f"need unit counts of at least 2, got {self.units}")
         if not self.eps_grid or not all(1.0 <= eps < math.inf for eps in self.eps_grid):
             raise ValueError(f"need balance tolerances that are finite and at least 1, got {self.eps_grid}")
-        if len(self.weights) != 3:
-            raise ValueError(f"need exactly three weights, got {self.weights}")
+        if len(self.weights) != 3 or not all(0.0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"need exactly three finite, non-negative weights, got {self.weights}")
 
 def generator_config(cfg: SweepConfig, kind: str, seed: int) -> GeneratorConfig:
     """The sweep's parameters for family ``kind``."""
     params = {name.split("_", 1)[1]: getattr(cfg, name) for name in FAMILY_FIELDS.get(kind, ())}
     return GeneratorConfig(kind=kind, n_vertices=cfg.n_vertices, seed=seed, **params)
 
-def elaborate_with(cfg: ElaborationConfig, dag: ArchDag, seed: int, staging: str | None = None) -> ArchSpec:
-    """``elaborate`` under ``cfg``'s settings; ``staging`` overrides its policy."""
-    return elaborate(
-        dag,
-        input_shape=(cfg.input_spatial, cfg.input_channels),
-        channel_limit=cfg.channel_limit,
-        staging=staging or cfg.staging,
-        staging_prob=cfg.staging_prob,
-        bytes_per_element=cfg.bytes_per_element,
-        seed=seed,
-    )
-
 def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     """All rows for one (generator, sample index) pair."""
     seed = sample_seed(cfg.master_seed, index)
     graph = generate(generator_config(cfg, kind, seed))
     dag = orient(graph)
-    arch = elaborate_with(cfg.elaboration, dag, seed)
-    params_greedy = elaborate_with(cfg.elaboration, dag, seed, "greedy").total_params
+    arch = elaborate(dag, cfg.elaboration, seed)
+    params_greedy = elaborate(dag, replace(cfg.elaboration, staging="greedy"), seed).total_params
     h = build_hypergraph(arch)
     gd = group_chains(arch)
     rows = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence, Tuple
 
-from concnas.archmodel import ArchSpec, BlockSpec
+from concnas.archmodel import ArchSpec, BlockSpec, ElaborationConfig
 from concnas.dagify import ArchDag
 from concnas.randgraph import GeneratorConfig, UndirectedGraph, generate
 
@@ -106,11 +106,7 @@ def synthetic_arch(
     return ArchSpec(
         dag=dag,
         blocks=blocks,
-        input_shape=(1, 1),
-        channel_limit=1,
-        staging="uniform",
-        staging_prob=0.5,
-        bytes_per_element=1,
+        elaboration=ElaborationConfig(1, 1, 1, "uniform", 0.5, 1),
         seed=0,
         vertex_flops=tuple(flops),
         vertex_params=(0,) * dag.n_vertices,

@@ -15,7 +15,7 @@ from statistics import mean, median
 
 import pytest
 
-from concnas.archmodel import elaborate
+from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.cli import main as cli_main
 from concnas.dagify import orient, topological_order
 from concnas.deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
@@ -304,12 +304,15 @@ def test_criterion_7_entropy_degradation(verdict):
         g = generate_dp(40, 0.4, 2.0, 2.0, seed=seed)
         arch = elaborate(
             orient(g),
-            input_shape=(32, 16),
-            channel_limit=256,
-            staging="probabilistic",
-            staging_prob=0.5,
-            bytes_per_element=4,
-            seed=seed,
+            ElaborationConfig(
+                input_spatial=32,
+                input_channels=16,
+                channel_limit=256,
+                staging="probabilistic",
+                staging_prob=0.5,
+                bytes_per_element=4,
+            ),
+            seed,
         )
         gd = group_chains(arch)
         for n in per_n:
@@ -366,7 +369,7 @@ def test_criterion_9_property_suites(verdict):
     rng = random.Random(92)
     for _ in range(cases):
         arch = elaborate(
-            orient(random_small_graph(rng)), staging="probabilistic", seed=rng.randrange(2**32)
+            orient(random_small_graph(rng)), seed=rng.randrange(2**32)
         )
         dag = arch.dag
         pred = dag.predecessors()
@@ -396,7 +399,7 @@ def test_criterion_9_property_suites(verdict):
     params = CostParams()
     for _ in range(cases):
         arch = elaborate(
-            orient(random_small_graph(rng)), staging="probabilistic", seed=rng.randrange(2**32)
+            orient(random_small_graph(rng)), seed=rng.randrange(2**32)
         )
         gd = group_chains(arch)
         n = rng.choice((2, 4, 8))
@@ -429,7 +432,7 @@ def test_criterion_9_property_suites(verdict):
             reports = [
                 concurrency_score(
                     elaborate(
-                        orient(g), staging="probabilistic", bytes_per_element=w, seed=seed
+                        orient(g), ElaborationConfig(bytes_per_element=w), seed
                     ),
                     n,
                     seed=seed,

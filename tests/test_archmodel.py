@@ -14,6 +14,7 @@ import pytest
 from concnas.archmodel import (
     ArchFileError,
     BlockSpec,
+    ElaborationConfig,
     arch_to_dict,
     block_flops,
     block_params,
@@ -46,7 +47,7 @@ def test_breakdown_sums_to_block_flops():
     rng = random.Random(14)
     for _ in range(300):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         for v, b in enumerate(arch.blocks):
             assert sum(flops_breakdown(b).values()) == arch.vertex_flops[v]
 
@@ -72,7 +73,7 @@ def test_flops_monotone_in_output_channels():
 
 
 def test_synthetic_input_output_cost_nothing():
-    arch = elaborate(orient(path_graph(4)), staging="uniform")
+    arch = elaborate(orient(path_graph(4)), ElaborationConfig(staging="uniform"))
     dag = arch.dag
     assert arch.vertex_flops[dag.input_vertex] == 0
     assert arch.vertex_flops[dag.output_vertex] == 0
@@ -81,15 +82,15 @@ def test_synthetic_input_output_cost_nothing():
 
 
 def test_edge_bytes_pinned_values():
-    arch = elaborate(orient(path_graph(3)), input_shape=(32, 16), staging="uniform")
+    arch = elaborate(orient(path_graph(3)), ElaborationConfig(staging="uniform"))
     assert arch.out_bytes[arch.dag.input_vertex] == 65536
 
-    staged = elaborate(orient(path_graph(3)), input_shape=(32, 16), staging="greedy")
+    staged = elaborate(orient(path_graph(3)), ElaborationConfig(staging="greedy"))
     # producer 0 staged once: output (16, 32), bytes halve
     assert staged.blocks[0].output_shape == (16, 32)
     assert staged.out_bytes[0] == 32768
 
-    tiny = elaborate(orient(path_graph(2)), input_shape=(1, 1), channel_limit=1, staging="uniform")
+    tiny = elaborate(orient(path_graph(2)), ElaborationConfig(1, 1, 1, "uniform"))
     assert tiny.out_bytes[0] == 4
 
 
@@ -97,16 +98,14 @@ def test_edge_bytes_follow_producer_shape():
     rng = random.Random(40)
     for _ in range(200):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         for u, b in enumerate(arch.blocks):
             s, c = b.output_shape
             assert arch.out_bytes[u] == s * s * c * 4
 
 
 def test_greedy_chain_trace():
-    arch = elaborate(
-        orient(path_graph(6)), input_shape=(32, 16), channel_limit=128, staging="greedy"
-    )
+    arch = elaborate(orient(path_graph(6)), ElaborationConfig(channel_limit=128, staging="greedy"))
     channels = [arch.blocks[v].channels for v in range(6)]
     spatial = [arch.blocks[v].spatial for v in range(6)]
     assert channels == [32, 64, 128, 128, 128, 128]
@@ -117,7 +116,7 @@ def test_uniform_mode_never_scales():
     rng = random.Random(90)
     for _ in range(200):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), input_shape=(32, 16), staging="uniform")
+        arch = elaborate(orient(g), ElaborationConfig(staging="uniform"))
         for b in arch.blocks:
             assert b.channels == 16
             assert not b.staged
@@ -127,73 +126,78 @@ def test_uniform_mode_never_scales():
 
 def test_shape_consistency_everywhere():
     rng = random.Random(0xABCD)
-    for _ in range(1000):
-        g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
-        dag = arch.dag
-        pred = dag.predecessors()
-        for v in topological_order(dag):
-            b = arch.blocks[v]
-            if v == dag.input_vertex:
-                continue
-            shapes = tuple(arch.blocks[u].output_shape for u in sorted(pred[v]))
-            assert b.input_shapes == shapes
-            assert b.in_spatial == min(s for s, _ in shapes)
-            assert b.in_channels == max(c for _, c in shapes)
-            if v == dag.output_vertex:
-                # the gather sink records shapes but reconciles nothing
-                assert all(p == 0 for p in b.scaling_pools)
-                assert all(p == 0 for p in b.scaling_proj)
-                continue
-            for (s, c), pools, proj in zip(shapes, b.scaling_pools, b.scaling_proj):
-                assert s == b.in_spatial * (2 ** pools)
-                assert proj == (b.in_channels if c < b.in_channels else 0)
-            assert b.channels <= arch.channel_limit
-            assert b.spatial >= 1
-            if b.staged:
-                assert (b.spatial, b.channels) == (b.in_spatial // 2, 2 * b.in_channels)
-            else:
-                assert (b.spatial, b.channels) == (b.in_spatial, b.in_channels)
+    # 12 and 224 are not powers of two: staging stops at 3 and 7
+    for spatial in (32, 12, 224):
+        for _ in range(1000):
+            g = random_small_graph(rng)
+            check_shapes(elaborate(orient(g), ElaborationConfig(spatial), rng.randrange(2**32)))
+
+
+def check_shapes(arch):
+    """Every block reconciles its inputs' shapes as the cost model says."""
+    dag = arch.dag
+    pred = dag.predecessors()
+    for v in topological_order(dag):
+        b = arch.blocks[v]
+        if v == dag.input_vertex:
+            continue
+        shapes = tuple(arch.blocks[u].output_shape for u in sorted(pred[v]))
+        assert b.input_shapes == shapes
+        assert b.in_spatial == min(s for s, _ in shapes)
+        assert b.in_channels == max(c for _, c in shapes)
+        if v == dag.output_vertex:
+            # the gather sink records shapes but reconciles nothing
+            assert all(p == 0 for p in b.scaling_pools)
+            assert all(p == 0 for p in b.scaling_proj)
+            continue
+        for (s, c), pools, proj in zip(shapes, b.scaling_pools, b.scaling_proj):
+            assert s == b.in_spatial * (2 ** pools)
+            assert proj == (b.in_channels if c < b.in_channels else 0)
+        assert b.channels <= arch.elaboration.channel_limit
+        assert b.spatial >= 1
+        if b.staged:
+            assert b.in_spatial % 2 == 0
+            assert (b.spatial, b.channels) == (b.in_spatial // 2, 2 * b.in_channels)
+        else:
+            assert (b.spatial, b.channels) == (b.in_spatial, b.in_channels)
 
 
 def test_staging_blocked_at_unit_spatial():
-    arch = elaborate(
-        orient(path_graph(5)),
-        input_shape=(1, 8),
-        staging="probabilistic",
-        staging_prob=1.0,
-        seed=3,
-    )
+    arch = elaborate(orient(path_graph(5)), ElaborationConfig(1, 8, staging_prob=1.0), 3)
     assert arch.suppressed_stagings == 5
     assert all(not b.staged for b in arch.blocks)
     assert all(b.spatial == 1 for b in arch.blocks if b.kind == "block")
 
 
+def test_staging_stops_at_odd_spatial():
+    arch = elaborate(orient(path_graph(5)), ElaborationConfig(12, staging="greedy"))
+    assert [arch.blocks[v].spatial for v in range(5)] == [6, 3, 3, 3, 3]
+    assert arch.suppressed_stagings == 3
+
+
 def test_staging_stops_at_channel_limit():
-    arch = elaborate(
-        orient(path_graph(12)), input_shape=(32, 16), channel_limit=64, staging="greedy"
-    )
+    arch = elaborate(orient(path_graph(12)), ElaborationConfig(channel_limit=64, staging="greedy"))
     assert max(b.channels for b in arch.blocks) == 64
 
 
 def test_elaborate_rejects_bad_arguments():
-    dag = orient(path_graph(3))
-    with pytest.raises(ValueError):
-        elaborate(dag, staging="aggressive")
-    with pytest.raises(ValueError):
-        elaborate(dag, input_shape=(0, 16))
-    with pytest.raises(ValueError):
-        elaborate(dag, input_shape=(32, 16), channel_limit=8)
-    with pytest.raises(ValueError):
-        elaborate(dag, staging_prob=1.5)
+    for bad in (
+        {"staging": "aggressive"},
+        {"input_spatial": 0},
+        {"channel_limit": 8},
+        {"staging_prob": 1.5},
+    ):
+        with pytest.raises(ValueError):
+            ElaborationConfig(**bad)
 
 
 def test_elaboration_deterministic_per_seed():
     dag = orient(generate(GeneratorConfig(kind="dp", n_vertices=30, seed=4, p=0.4, alpha=2.0, beta=2.0)))
-    a = elaborate(dag, staging="probabilistic", seed=11)
-    b = elaborate(dag, staging="probabilistic", seed=11)
+    prob = ElaborationConfig(staging="probabilistic")
+    a = elaborate(dag, prob, 11)
+    b = elaborate(dag, prob, 11)
     assert a == b
-    c = elaborate(dag, staging="probabilistic", seed=12)
+    c = elaborate(dag, prob, 12)
     assert a.total_params != c.total_params or a.blocks != c.blocks
 
 
@@ -201,8 +205,8 @@ def test_greedy_params_dominate_probabilistic_on_average():
     diffs = []
     for seed in range(100):
         dag = orient(generate(GeneratorConfig(kind="er", n_vertices=40, seed=seed, p=0.12)))
-        greedy = elaborate(dag, staging="greedy", seed=seed).total_params
-        prob = elaborate(dag, staging="probabilistic", seed=seed).total_params
+        greedy = elaborate(dag, ElaborationConfig(staging="greedy"), seed).total_params
+        prob = elaborate(dag, ElaborationConfig(staging="probabilistic"), seed).total_params
         diffs.append(greedy - prob)
     assert sum(diffs) / len(diffs) > 0
 
@@ -211,7 +215,7 @@ def test_arch_round_trip(tmp_path):
     rng = random.Random(75)
     for i in range(100):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         path = tmp_path / f"a{i}.json"
         write_arch(arch, path)
         back = read_arch(path)

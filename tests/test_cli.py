@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from concnas.archmodel import read_arch
 from concnas.cli import main
 
 
@@ -225,7 +226,18 @@ def _same_output_as(*argv):
     return check
 
 
+def _arch_reads_back(name, spatial):
+    def check(tmp_path, capsys, out):
+        assert read_arch(tmp_path / name).elaboration.input_spatial == spatial
+    return check
+
+
+def _simulated(tmp_path, capsys, out):
+    assert out.startswith("groups=") and "makespan=" in out
+
+
 _UNCHANGED = _edit(lambda doc: None)
+DP = ("--kind", "dp", "--n", "10", "--p", "0.3", "--seed", "1")
 
 
 # case: (argv, config file contents, change to a gen output passed as
@@ -243,6 +255,14 @@ CONTRACT = {
     "units-above-er-dag": (("sweep", "--generators", "er", "--n", "6", "--units", "9"), None, None, 1, "usage error:"),
     "er-p-2": (("sweep", "--er-p", "2"), None, None, 1, "usage error:"),
     "two-weights": (("score", *ER, "--weights", "1,2"), None, None, 1, "usage error:"),
+    "weights-nan": (("score", *ER, "--units", "4", "--weights", "nan,1,1"), None, None, 1, "usage error:"),
+    "weights-negative": (("score", *ER, "--units", "4", "--weights=-1,1,1"), None, None, 1, "usage error:"),
+    "flops-per-time-inf": (("simulate", *ER, "--flops-per-time", "inf"), None, None, 1, "usage error:"),
+    "bytes-per-time-inf": (("simulate", *ER, "--bytes-per-time", "inf"), None, None, 0, _simulated),
+    "dp-alpha-nan": (("gen", *DP, "--alpha", "nan", "--beta", "1"), None, None, 1, "usage error:"),
+    "dp-beta-nan": (("gen", *DP, "--alpha", "1", "--beta", "nan"), None, None, 1, "usage error:"),
+    "dp-alpha-inf": (("gen", *DP, "--alpha", "inf", "--beta", "1"), None, None, 1, "usage error:"),
+    "gen-er-spatial-12": (("gen", *ER, "--spatial", "12"), None, None, 0, _arch_reads_back("er_10_1.json", 12)),
     "unknown-config-key": (("gen", *ER), {"bogus": 1}, None, 1, "usage error:"),
     "config-flag-not-boolean": (("partition", *ER), {"hmetis": "no"}, None, 1, "usage error:"),
     "config-units-score": (("score", *ER), {"units": 4}, None, 0, _one_score_line_at_4),

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from concnas.archmodel import elaborate
+from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient, topological_order, vertex_depths
 from concnas.deploy import (
     COMMON_UNIT,
@@ -171,7 +171,7 @@ def loads_of(gd, placement):
 
 
 def test_pure_chain_contracts_to_one_group():
-    arch = elaborate(orient(path_graph(10)), staging="uniform")
+    arch = elaborate(orient(path_graph(10)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     block_groups = [g for g in gd.groups if len(g) > 1 or arch.dag.kinds[g[0]] == "block"]
     assert len(block_groups) == 1
@@ -179,7 +179,7 @@ def test_pure_chain_contracts_to_one_group():
 
 
 def test_parallel_blocks_stay_apart():
-    arch = elaborate(orient(empty_graph(10)), staging="uniform")
+    arch = elaborate(orient(empty_graph(10)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     assert all(len(g) == 1 for g in gd.groups)
     assert len(gd.groups) == 12
@@ -196,7 +196,7 @@ def test_grouping_structure():
     rng = random.Random(0xDADA)
     for _ in range(500):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         gd = group_chains(arch)
         dag = arch.dag
         succ = dag.successors()
@@ -252,7 +252,7 @@ def test_equal_groups_balance_perfectly():
 
 
 def test_single_unit_takes_everything():
-    arch = elaborate(orient(path_graph(5)), staging="uniform")
+    arch = elaborate(orient(path_graph(5)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     p = place_greedy(gd, 1)
     for g, u in enumerate(p.unit_of_group):
@@ -263,7 +263,7 @@ def test_single_unit_takes_everything():
 
 
 def test_input_scattered_output_on_merge_unit():
-    arch = elaborate(orient(empty_graph(6)), staging="uniform")
+    arch = elaborate(orient(empty_graph(6)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     p = place_greedy(gd, 3)
     assert p.unit_of_group[gd.input_group] == COMMON_UNIT
@@ -351,7 +351,7 @@ def test_single_unit_equals_total_compute():
     rng = random.Random(606)
     for _ in range(500):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         gd = group_chains(arch)
         r = simulate(gd, place_greedy(gd, 1))
         params = CostParams()
@@ -375,7 +375,7 @@ def test_makespan_lower_bounds():
     params = CostParams()
     for _ in range(1000):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         gd = group_chains(arch)
         n = rng.choice((2, 3, 4, 8))
         r = simulate(gd, place_greedy(gd, n), params)
@@ -390,7 +390,7 @@ def test_more_bandwidth_never_slows():
     rng = random.Random(808)
     for _ in range(500):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         gd = group_chains(arch)
         p = place_greedy(gd, rng.choice((2, 4)))
         slow = simulate(gd, p, CostParams(400_000.0, 65_536.0, 0.05))
@@ -399,7 +399,7 @@ def test_more_bandwidth_never_slows():
 
 
 def test_unplaced_group_rejected():
-    arch = elaborate(orient(path_graph(4)), staging="uniform")
+    arch = elaborate(orient(path_graph(4)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     bad = Placement(unit_of_group=(0,), n_units=2, merge_unit=0, dedicated_merge_unit=False)
     with pytest.raises(ValueError):
@@ -407,7 +407,7 @@ def test_unplaced_group_rejected():
 
 
 def test_trace_and_placement_export(tmp_path):
-    arch = elaborate(orient(path_graph(4)), staging="uniform")
+    arch = elaborate(orient(path_graph(4)), ElaborationConfig(staging="uniform"))
     gd = group_chains(arch)
     p = place_greedy(gd, 2)
     r = simulate(gd, p, keep_trace=True)
@@ -427,7 +427,7 @@ def test_deterministic_replay():
     rng = random.Random(909)
     for _ in range(50):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=5)
+        arch = elaborate(orient(g), seed=5)
         gd = group_chains(arch)
         p = place_greedy(gd, 4)
         assert simulate(gd, p) == simulate(gd, p)
@@ -441,7 +441,7 @@ def test_placement_matches_min_scan_reference():
         if i % 2:
             arch = synthetic_arch(dag, [rng.randrange(4) for _ in range(dag.n_vertices)])
         else:
-            arch = elaborate(dag, staging="probabilistic", seed=rng.randrange(2**32))
+            arch = elaborate(dag, seed=rng.randrange(2**32))
         gd = group_chains(arch)
         for n in range(1, 17):
             for dedicated in (False, True):
@@ -458,7 +458,7 @@ def test_simulation_matches_reference_event_loop():
     )
     for i in range(40):
         g = random_small_graph(rng, max_n=40)
-        gd = group_chains(elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32)))
+        gd = group_chains(elaborate(orient(g), seed=rng.randrange(2**32)))
         params = variants[i % len(variants)]
         for n in range(1, 17):
             for dedicated in (False, True):

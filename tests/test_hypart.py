@@ -18,7 +18,7 @@ import random
 import pytest
 
 from concnas import hypart
-from concnas.archmodel import elaborate
+from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.hypart import (
     _MAX_PASSES,
@@ -37,7 +37,7 @@ from concnas.hypart import (
 )
 from concnas.randgraph import generate
 from concnas.rng import sample_seed
-from concnas.sweep import SweepConfig, elaborate_with, generator_config
+from concnas.sweep import SweepConfig, generator_config
 from helpers import empty_graph, path_graph, random_small_graph
 
 
@@ -95,7 +95,7 @@ def best_bipartition(h, eps):
 
 
 def test_chain_hyperedges():
-    arch = elaborate(orient(path_graph(3)), staging="uniform")
+    arch = elaborate(orient(path_graph(3)), ElaborationConfig(staging="uniform"))
     h = build_hypergraph(arch)
     dag = arch.dag
     pin_sets = {frozenset(p) for p in h.pins}
@@ -107,7 +107,7 @@ def test_chain_hyperedges():
 
 
 def test_fanout_shares_one_hyperedge():
-    arch = elaborate(orient(empty_graph(3)), input_shape=(32, 16), staging="uniform")
+    arch = elaborate(orient(empty_graph(3)), ElaborationConfig(staging="uniform"))
     h = build_hypergraph(arch)
     dag = arch.dag
     fan = [p for p in h.pins if dag.input_vertex in p]
@@ -121,7 +121,7 @@ def test_hyperedge_per_producer():
     rng = random.Random(5150)
     for _ in range(300):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         h = build_hypergraph(arch)
         succ = arch.dag.successors()
         producers = [v for v in range(arch.dag.n_vertices) if succ[v]]
@@ -172,7 +172,7 @@ def test_partition_covers_and_reports_exactly():
     rng = random.Random(0xFACE)
     for _ in range(1000):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         h = build_hypergraph(arch)
         n_parts = rng.randrange(2, min(4, h.n_vertices) + 1)
         eps = rng.uniform(1.05, 2.0)
@@ -204,7 +204,7 @@ def test_partition_meets_cap_whenever_lpt_does():
         else:
             g = random_small_graph(rng)
             h = build_hypergraph(
-                elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+                elaborate(orient(g), seed=rng.randrange(2**32))
             )
         n_parts = rng.randrange(2, min(8, h.n_vertices) + 1)
         eps = rng.choice((1.05, 1.1, 1.2, 1.35, 1.5))
@@ -221,7 +221,7 @@ def test_partition_deterministic():
     rng = random.Random(313)
     for _ in range(50):
         g = random_small_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=7)
+        arch = elaborate(orient(g), seed=7)
         h = build_hypergraph(arch)
         assert partition(h, 2, 1.5, seed=42) == partition(h, 2, 1.5, seed=42)
 
@@ -538,7 +538,7 @@ def sweep_hypergraph(kind, index):
     cfg = SweepConfig()
     seed = sample_seed(cfg.master_seed, index)
     dag = orient(generate(generator_config(cfg, kind, seed)))
-    return build_hypergraph(elaborate_with(cfg.elaboration, dag, seed))
+    return build_hypergraph(elaborate(dag, cfg.elaboration, seed))
 
 
 def test_refine_matches_reference_on_random_levels():

@@ -232,10 +232,9 @@ def test_dp_alpha_zero_gives_empty_graph():
 
 
 def test_dp_rejects_negative_shape_parameters():
-    with pytest.raises(ValueError):
-        generate_dp(10, 0.5, -1.0, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_dp(10, 0.5, 1.0, -0.5, seed=0)
+    for alpha, beta in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            generate_dp(10, 0.5, alpha, beta, seed=0)
 
 
 def test_dp_well_formed_and_deterministic():

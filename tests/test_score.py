@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from concnas.archmodel import elaborate
+from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.randgraph import GeneratorConfig, generate
 from concnas.score import (
@@ -94,7 +94,7 @@ def test_report_internal_consistency():
     rng = random.Random(1212)
     for _ in range(60):
         g = roomy_graph(rng, max_n=18)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         n = rng.randrange(2, 5)
         r = concurrency_score(arch, n, seed=rng.randrange(2**32))
         assert r.u_c == min(arch.out_bytes[u] for u, _ in arch.dag.edges)
@@ -114,7 +114,7 @@ def test_best_record_is_feasible_when_any_is():
     feasible_grids = 0
     for _ in range(80):
         g = roomy_graph(rng, max_n=24)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         r = concurrency_score(arch, rng.randrange(2, 5), seed=rng.randrange(2**32))
         feasible = [rec.cs for rec in r.records if not rec.best_effort]
         if feasible:
@@ -127,7 +127,7 @@ def test_best_record_is_feasible_when_any_is():
     # runs over the whole grid
     g = generate(GeneratorConfig(kind="ba", n_vertices=5, seed=3953131384, m=2))
     seed = 1187452441
-    r = concurrency_score(elaborate(orient(g), staging="probabilistic", seed=seed), 4, seed=seed)
+    r = concurrency_score(elaborate(orient(g), seed=seed), 4, seed=seed)
     assert all(rec.best_effort for rec in r.records)
     assert len({rec.cs for rec in r.records}) > 1
     assert r.best_cs == min(rec.cs for rec in r.records)
@@ -137,7 +137,7 @@ def test_score_deterministic():
     rng = random.Random(5)
     for _ in range(20):
         g = roomy_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=9)
+        arch = elaborate(orient(g), seed=9)
         assert concurrency_score(arch, 4, seed=3) == concurrency_score(arch, 4, seed=3)
 
 
@@ -147,8 +147,8 @@ def test_score_invariant_under_element_width():
     for _ in range(100):
         g = roomy_graph(rng)
         seed = rng.randrange(2**32)
-        narrow = elaborate(orient(g), staging="probabilistic", seed=seed, bytes_per_element=4)
-        wide = elaborate(orient(g), staging="probabilistic", seed=seed, bytes_per_element=8)
+        narrow = elaborate(orient(g), ElaborationConfig(bytes_per_element=4), seed)
+        wide = elaborate(orient(g), ElaborationConfig(bytes_per_element=8), seed)
         rn = concurrency_score(narrow, 4, seed=seed)
         rw = concurrency_score(wide, 4, seed=seed)
         assert rw.u_c == 2 * rn.u_c
@@ -166,8 +166,8 @@ def test_element_width_preserves_ranking():
     for g1, g2 in pairs:
         ranks = []
         for bpe in (4, 8):
-            a1 = elaborate(orient(g1), staging="probabilistic", seed=1, bytes_per_element=bpe)
-            a2 = elaborate(orient(g2), staging="probabilistic", seed=1, bytes_per_element=bpe)
+            a1 = elaborate(orient(g1), ElaborationConfig(bytes_per_element=bpe), 1)
+            a2 = elaborate(orient(g2), ElaborationConfig(bytes_per_element=bpe), 1)
             c1 = concurrency_score(a1, 4, seed=1).best_cs
             c2 = concurrency_score(a2, 4, seed=1).best_cs
             ranks.append(math.copysign(1, c1 - c2) if c1 != c2 else 0)
@@ -181,7 +181,7 @@ def test_longer_grid_never_hurts():
     rng = random.Random(31337)
     for _ in range(100):
         g = roomy_graph(rng)
-        arch = elaborate(orient(g), staging="probabilistic", seed=rng.randrange(2**32))
+        arch = elaborate(orient(g), seed=rng.randrange(2**32))
         seed = rng.randrange(2**32)
         short = concurrency_score(arch, 3, eps_grid=DEFAULT_EPS_GRID[:2], seed=seed)
         full = concurrency_score(arch, 3, eps_grid=DEFAULT_EPS_GRID, seed=seed)
@@ -201,7 +201,7 @@ def test_empty_grid_rejected():
 
 
 def test_metrics_writers(tmp_path):
-    arch = elaborate(orient(path_graph(6)), staging="probabilistic", seed=2)
+    arch = elaborate(orient(path_graph(6)), seed=2)
     r = concurrency_score(arch, 4, seed=2)
 
     cpath = tmp_path / "m.csv"
