@@ -59,8 +59,9 @@ class ElaborationConfig:
     def __post_init__(self):
         s0, c0 = self.input_spatial, self.input_channels
         for name in ("input_spatial", "input_channels", "channel_limit", "bytes_per_element"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if s0 < 1 or c0 < 1:
             raise ValueError(f"input shape must be positive, got {(s0, c0)}")
         if self.channel_limit < c0:

@@ -113,6 +113,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _check_partition_args(n: int, flag: str, part_counts, eps_values=()) -> None:
     """Reject part counts and tolerances that ``partition`` refuses on ``n`` vertices."""
+    if not part_counts:
+        raise UsageError(f"{flag} needs at least one value")
     for k in part_counts:
         if not 2 <= k <= n:
             raise UsageError(f"{flag} must be between 2 and {n} (the DAG's vertex count), got {k}")
@@ -141,13 +143,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 def cmd_score(args: argparse.Namespace) -> int:
-    grid = _config(SweepConfig, args, SCORE_FIELDS)
+    # the unit counts are checked against this DAG, not against a sweep's --n
+    grid = _config(SweepConfig, args, ("eps_grid", "weights"))
+    units = getattr(args, "units", grid.units)
     arch = _load_arch(args, used=("seed",))
-    _check_partition_args(arch.dag.n_vertices, "--units", grid.units)
+    _check_partition_args(arch.dag.n_vertices, "--units", units)
     out = _out_dir(args)
     name = args.name or "metrics"
     seed = getattr(args, "seed", GeneratorConfig.seed)
-    for n in grid.units:
+    for n in units:
         report = concurrency_score(arch, n, eps_grid=grid.eps_grid, weights=grid.weights, seed=seed)
         path = out / f"{name}_n{n}.csv"
         write_metrics_csv(report, path)
@@ -198,8 +202,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     elab = _config(ElaborationConfig, args, STAGING_FIELDS)
     cfg = _config(SweepConfig, args, SWEEP_FIELDS, elaboration=elab, cost=_config(CostParams, args, COST_FIELDS))
-    # the DAG of an n-vertex graph has at least n + 2 vertices: blocks, input and output
-    _check_partition_args(cfg.n_vertices + 2, "--units", cfg.units)
     rows = run_sweep(cfg)
     summary = summarize(rows)
     out = _out_dir(args)

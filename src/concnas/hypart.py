@@ -70,7 +70,7 @@ class Hypergraph:
         # sums hyperedge weights in float64, exact only below 2**53
         for kind, ws in (("vertex", self.vertex_weights), ("hyperedge", self.weights)):
             for w in ws:
-                if not isinstance(w, int) or w < 0:
+                if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                     raise ValueError(f"{kind} weight is not a non-negative integer: {w!r}")
         if sum(self.weights) >= 1 << 53:
             raise ValueError(f"total hyperedge weight must be below 2**53, got {sum(self.weights)}")
@@ -209,7 +209,7 @@ def _match_level(level: _Level, weight_cap: float) -> Tuple[Optional[_Level], fl
         return None, lo, hi
     hint = level.hint
     coarse_of = [-1] * n
-    chint: Optional[List[int]] = [] if hint else None
+    chint: List[int] = []
     next_id = 0
     for v in range(n):
         if coarse_of[v] != -1:
@@ -217,8 +217,7 @@ def _match_level(level: _Level, weight_cap: float) -> Tuple[Optional[_Level], fl
         coarse_of[v] = next_id
         if mate[v] > v:
             coarse_of[mate[v]] = next_id
-        if chint is not None:
-            chint.append(min(hint[v], hint[mate[v]]) if mate[v] > v else hint[v])
+        chint.append(min(hint[v], hint[mate[v]]) if mate[v] > v else hint[v])
         next_id += 1
     cvw = [0] * next_id
     for v in range(n):
@@ -234,7 +233,7 @@ def _match_level(level: _Level, weight_cap: float) -> Tuple[Optional[_Level], fl
     return _Level(next_id, cpins, clam, cvw, chint, fine_map=coarse_of), lo, hi
 
 def _initial_contiguous(level: _Level, n_parts: int) -> List[int]:
-    order = sorted(range(level.n), key=lambda v: (level.hint[v], v)) if level.hint else list(range(level.n))
+    order = sorted(range(level.n), key=lambda v: (level.hint[v], v))
     total = sum(level.vw)
     parts = [0] * level.n
     cum = 0
@@ -345,8 +344,10 @@ def _tables(
 
 def _refine(
     level: _Level, parts: List[int], n_parts: int, cap: float, max_passes: int = _MAX_PASSES
-) -> Tuple[int, List[int]]:
-    """FM passes until no pass improves; returns (lam, per-pass history).
+) -> List[int]:
+    """FM passes until no pass improves; returns the connectivity before
+    the first pass and after each pass that gained, so its last entry is
+    the connectivity of ``parts`` on return.
 
     Move gains are kept as pull (edges where the vertex is alone in its
     part) minus push (edges absent from the target part).  ``_tables``
@@ -486,7 +487,7 @@ def _refine(
             break
         cur_lam = best_lam
         history.append(cur_lam)
-    return cur_lam, history
+    return history
 
 @lru_cache(maxsize=8)
 def _coarsen(h: Hypergraph) -> _Level:
@@ -542,7 +543,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     assignment found is then returned instead of failing.
     ``lam_history`` holds the connectivity after each refinement pass,
     starting at the coarsest level whose partition fits (the finest if
-    none does), and never increases.
+    none does), and never increases; ``lam`` is its last entry.
     """
     if n_parts < 2:
         raise ValueError(f"need at least two parts, got {n_parts}")
@@ -568,9 +569,9 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     best_key = best_hist = None
     for cparts in candidates:
         _rebalance(coarsest, cparts, n_parts, cap_eff)
-        lam_val, hist = _refine(coarsest, cparts, n_parts, cap_eff, max_passes=_START_PASSES)
+        hist = _refine(coarsest, cparts, n_parts, cap_eff, max_passes=_START_PASSES)
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        key = (heaviest > cap_eff, lam_val, heaviest)
+        key = (heaviest > cap_eff, hist[-1], heaviest)
         if best_key is None or key < best_key:
             best_key, best_parts, best_hist = key, cparts, hist
     assert best_parts is not None and best_hist is not None
@@ -601,17 +602,15 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
             # the same pass from the same state would gain nothing again
             history.append(best_hist[-1])
             continue
-        _, hist = _refine(levels[idx], parts, n_parts, cap_eff)
-        history.extend(hist)
+        history.extend(_refine(levels[idx], parts, n_parts, cap_eff))
 
-    lam_final = total_communication(h, parts)
     imbalance = load_imbalance(h, parts, n_parts)
     best_effort = total_w > 0 and imbalance > eps * (1 + 1e-12)
     return Partition(
         parts=tuple(parts),
         n_parts=n_parts,
         eps=eps,
-        lam=lam_final,
+        lam=history[-1],
         imbalance=imbalance,
         best_effort=best_effort,
         lam_history=tuple(history),

@@ -19,13 +19,15 @@ cap on the grid, the minimum is taken over the whole grid.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Tuple
 
 from .archmodel import ArchSpec
 from .dagify import ArchDag, longest_path_length
-from .hypart import Hypergraph, build_hypergraph, partition
+from .hypart import Hypergraph, Partition, build_hypergraph, partition
 from .rng import KEY_PARTITION, derived_seed
 
 DEFAULT_EPS_GRID = (1.05, 1.10, 1.20, 1.35, 1.50)
@@ -43,7 +45,8 @@ def cs_value(
     eta: float,
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS,
 ) -> float:
-    """Cube root of the weighted product; exactly 0 when lam_norm is 0."""
+    """Cube root of the weighted product; exactly 0 when lam_norm is 0.
+    The weights are taken as given; ``check_settings`` is their check."""
     if delta < 0 or lam_norm < 0 or eta < 0:
         raise ValueError("score factors must be non-negative")
     a, b, c = weights
@@ -51,32 +54,47 @@ def cs_value(
         return 0.0
     return (delta**a * lam_norm**b * eta**c) ** (1.0 / 3.0)
 
-@dataclass(frozen=True)
-class EpsilonRecord:
-    eps: float
-    lam: int
-    lam_norm: float
-    imbalance: float
-    cs: float
-    best_effort: bool
-    parts: Tuple[int, ...]
+def check_settings(eps_grid: Sequence[float], weights: Sequence[float]) -> None:
+    """Reject a grid or weights the score cannot use: the grid must hold
+    at least one tolerance, each finite and at least 1, and the weights
+    must be exactly three finite, non-negative numbers."""
+    if not eps_grid or not all(1.0 <= eps < math.inf for eps in eps_grid):
+        raise ValueError(f"need balance tolerances that are finite and at least 1, got {eps_grid}")
+    if len(weights) != 3 or not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError(f"need exactly three finite, non-negative weights, got {weights}")
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The grid's partitions, in grid order, and the score derived from them."""
+
     n_units: int
     eta: float
     u_c: int
     weights: Tuple[float, float, float]
-    records: Tuple[EpsilonRecord, ...]
-    best_index: int
+    partitions: Tuple[Partition, ...]
+
+    def lam_norm(self, p: Partition) -> float:
+        return p.lam / (self.u_c * self.n_units)
+
+    @cached_property
+    def cs(self) -> Tuple[float, ...]:
+        """The CS of each grid point, in grid order."""
+        return tuple(cs_value(p.imbalance, self.lam_norm(p), self.eta, self.weights) for p in self.partitions)
+
+    @cached_property
+    def best_index(self) -> int:
+        """The lowest CS among the feasible grid points (all of them if none
+        is), ties to the first."""
+        feasible = [i for i, p in enumerate(self.partitions) if not p.best_effort]
+        return min(feasible or range(len(self.partitions)), key=lambda i: (self.cs[i], i))
 
     @property
-    def best(self) -> EpsilonRecord:
-        return self.records[self.best_index]
+    def best(self) -> Partition:
+        return self.partitions[self.best_index]
 
     @property
     def best_cs(self) -> float:
-        return self.best.cs
+        return self.cs[self.best_index]
 
 def concurrency_score(
     arch: ArchSpec,
@@ -89,39 +107,20 @@ def concurrency_score(
     """Score ``arch`` on ``n_units``; the reported CS is the minimum over
     the feasible grid points, or over the whole grid if none is feasible.
 
-    A prebuilt ``hypergraph`` may be passed to amortize repeated scoring
-    of one architecture at several unit counts.
+    ``eps_grid`` and ``weights`` must pass ``check_settings``.  A prebuilt
+    ``hypergraph`` may be passed to amortize repeated scoring of one
+    architecture at several unit counts.
     """
-    if not eps_grid:
-        raise ValueError("need at least one balance tolerance")
+    check_settings(eps_grid, weights)
     h = hypergraph if hypergraph is not None else build_hypergraph(arch)
-    eta = overlap_ratio(arch.dag, n_units)
-    u_c = min(arch.out_bytes[u] for u, _ in arch.dag.edges)
-    records = []
-    for i, eps in enumerate(eps_grid):
-        p = partition(h, n_units, eps, seed=derived_seed(seed, KEY_PARTITION, i))
-        lam_norm = p.lam / (u_c * n_units)
-        cs = cs_value(p.imbalance, lam_norm, eta, weights)
-        records.append(
-            EpsilonRecord(
-                eps=eps,
-                lam=p.lam,
-                lam_norm=lam_norm,
-                imbalance=p.imbalance,
-                cs=cs,
-                best_effort=p.best_effort,
-                parts=p.parts,
-            )
-        )
-    feasible = [i for i, r in enumerate(records) if not r.best_effort]
-    best_index = min(feasible or range(len(records)), key=lambda i: (records[i].cs, i))
     return MetricsReport(
         n_units=n_units,
-        eta=eta,
-        u_c=u_c,
+        eta=overlap_ratio(arch.dag, n_units),
+        u_c=min(arch.out_bytes[u] for u, _ in arch.dag.edges),
         weights=tuple(weights),
-        records=tuple(records),
-        best_index=best_index,
+        partitions=tuple(
+            partition(h, n_units, eps, seed=derived_seed(seed, KEY_PARTITION, i)) for i, eps in enumerate(eps_grid)
+        ),
     )
 
 def write_metrics_csv(r: MetricsReport, path: str | Path) -> None:
@@ -129,7 +128,7 @@ def write_metrics_csv(r: MetricsReport, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "lam", "lam_norm", "imbalance", "eta", "cs", "best_effort", "chosen"])
-        for i, e in enumerate(r.records):
+        for i, (p, cs) in enumerate(zip(r.partitions, r.cs)):
             w.writerow(
-                [e.eps, e.lam, repr(e.lam_norm), repr(e.imbalance), repr(r.eta), repr(e.cs), int(e.best_effort), int(i == r.best_index)]
+                [p.eps, p.lam, repr(r.lam_norm(p)), repr(p.imbalance), repr(r.eta), repr(cs), int(p.best_effort), int(i == r.best_index)]
             )

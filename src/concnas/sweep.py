@@ -10,7 +10,6 @@ task order, so the output does not depend on the worker count.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -23,7 +22,7 @@ from .deploy import CostParams, balance_entropy, group_chains, place_greedy, sim
 from .hypart import build_hypergraph
 from .randgraph import GeneratorConfig, generate
 from .rng import sample_seed
-from .score import DEFAULT_EPS_GRID, DEFAULT_WEIGHTS, concurrency_score
+from .score import DEFAULT_EPS_GRID, DEFAULT_WEIGHTS, check_settings, concurrency_score
 
 DEFAULT_GENERATORS = ("er", "ba", "ws", "dp", "fb")
 DEFAULT_UNITS = (4, 6, 8, 10)
@@ -79,12 +78,10 @@ class SweepConfig:
                 raise ValueError(f"{kind} generator, set by {', '.join(flags)} and --n={self.n_vertices}: {exc}") from None
         if self.samples < 1 or self.workers < 1:
             raise ValueError(f"samples and workers must be at least 1, got {self.samples} and {self.workers}")
-        if not self.units or min(self.units) < 2:
-            raise ValueError(f"need unit counts of at least 2, got {self.units}")
-        if not self.eps_grid or not all(1.0 <= eps < math.inf for eps in self.eps_grid):
-            raise ValueError(f"need balance tolerances that are finite and at least 1, got {self.eps_grid}")
-        if len(self.weights) != 3 or not all(0.0 <= w < math.inf for w in self.weights):
-            raise ValueError(f"need exactly three finite, non-negative weights, got {self.weights}")
+        # the DAG of an n-vertex graph has at least n + 2 vertices: blocks, input and output
+        if not self.units or not 2 <= min(self.units) <= max(self.units) <= self.n_vertices + 2:
+            raise ValueError(f"need unit counts from 2 to {self.n_vertices + 2}, the smallest DAG's vertex count, got {self.units}")
+        check_settings(self.eps_grid, self.weights)
 
 def generator_config(cfg: SweepConfig, kind: str, seed: int) -> GeneratorConfig:
     """The sweep's parameters for family ``kind``."""
@@ -103,6 +100,7 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     rows = []
     for n in cfg.units:
         report = concurrency_score(arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h)
+        best = report.best
         placement = place_greedy(gd, n)
         sim = simulate(gd, placement, cfg.cost)
         rows.append(
@@ -117,11 +115,11 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
                 "eta": report.eta,
                 "u_c": report.u_c,
                 "cs": report.best_cs,
-                "cs_eps": report.best.eps,
-                "lam": report.best.lam,
-                "lam_norm": report.best.lam_norm,
-                "imbalance": report.best.imbalance,
-                "best_effort": int(report.best.best_effort),
+                "cs_eps": best.eps,
+                "lam": best.lam,
+                "lam_norm": report.lam_norm(best),
+                "imbalance": best.imbalance,
+                "best_effort": int(best.best_effort),
                 "makespan": sim.makespan,
                 "speedup": sim.speedup_vs_single_unit,
                 "entropy": balance_entropy(gd, placement),

@@ -186,6 +186,9 @@ def test_elaborate_rejects_bad_arguments():
         {"input_spatial": 0},
         {"channel_limit": 8},
         {"staging_prob": 1.5},
+        {"input_spatial": True},
+        {"bytes_per_element": True},
+        {"input_spatial": True, "input_channels": True, "channel_limit": True, "bytes_per_element": True},
     ):
         with pytest.raises(ValueError):
             ElaborationConfig(**bad)

@@ -73,6 +73,7 @@ def test_bad_partition_arguments_are_usage_errors(tmp_path, capsys):
         ("score", "--units", "1"),
         ("score", "--units", "0"),
         ("score", "--units", "4,7"),
+        ("score", "--units", ","),
         ("score", "--eps", "1.1,0.9"),
         ("score", "--eps", "0.5"),
     ):
@@ -210,8 +211,10 @@ def _add_flops(delta):
     return _edit(lambda doc: _block(doc).update(flops=_block(doc)["flops"] + delta))
 
 
-def _one_score_line_at_4(tmp_path, capsys, out):
-    assert out.startswith("n=4 ") and out.count("n=") == 1
+def _one_score_line_at(n):
+    def check(tmp_path, capsys, out):
+        assert out.startswith(f"n={n} ") and out.count("n=") == 1
+    return check
 
 
 def _sweep_rows_are_er(tmp_path, capsys, out):
@@ -265,7 +268,7 @@ CONTRACT = {
     "gen-er-spatial-12": (("gen", *ER, "--spatial", "12"), None, None, 0, _arch_reads_back("er_10_1.json", 12)),
     "unknown-config-key": (("gen", *ER), {"bogus": 1}, None, 1, "usage error:"),
     "config-flag-not-boolean": (("partition", *ER), {"hmetis": "no"}, None, 1, "usage error:"),
-    "config-units-score": (("score", *ER), {"units": 4}, None, 0, _one_score_line_at_4),
+    "config-units-score": (("score", *ER), {"units": 4}, None, 0, _one_score_line_at(4)),
     "config-generators-string": (
         ("sweep",), {"generators": "er", "n": 10, "samples": 1, "units": [2, 3]}, None, 0, _sweep_rows_are_er,
     ),
@@ -290,7 +293,11 @@ CONTRACT = {
     ),
     "arch-with-seed-histogram": (("histogram", "--seed", "2"), None, _UNCHANGED, 1, "usage error: --arch fixes"),
     "arch-with-config-kind": (("simulate",), {"kind": "er"}, _UNCHANGED, 1, "usage error: --arch fixes"),
-    "arch-with-seed-score": (("score", "--seed", "3", "--units", "4"), None, _UNCHANGED, 0, _one_score_line_at_4),
+    "arch-with-seed-score": (("score", "--seed", "3", "--units", "4"), None, _UNCHANGED, 0, _one_score_line_at(4)),
+    # score checks its unit counts against the DAG it scores, not against the sweep's default --n
+    "score-units-above-sweep-n": (
+        ("score", "--kind", "er", "--n", "50", "--p", "0.1", "--units", "45"), None, None, 0, _one_score_line_at(45),
+    ),
 }
 
 

@@ -269,6 +269,8 @@ def test_partition_rejects_bad_arguments():
     "weights, vertex_weights",
     [pytest.param((1,), (1, w), id=str(w)) for w in (2.0, 2.5, -1, "3")]
     + [pytest.param((w,), (1, 1), id=f"hyperedge-{w}") for w in (2.0, 2.5, -1, "3")]
+    # bool is an int subclass, but a True weight is a flag, not a count
+    + [pytest.param((1,), (1, True), id="vertex-True"), pytest.param((True,), (1, 1), id="hyperedge-True")]
     # the gain tables sum hyperedge weights in float64, exact below 2**53
     + [pytest.param((2**52, 2**52), (1, 1), id="hyperedge-total-2**53")],
 )
@@ -567,8 +569,9 @@ def test_refine_matches_reference_on_random_levels():
             )
             passes = rng.choice(pass_choices)
             ref_parts, new_parts = list(parts), list(parts)
-            expected = reference_refine(level, ref_parts, n_parts, cap, passes)
-            assert _refine(level, new_parts, n_parts, cap, passes) == expected, (h, parts, cap)
+            lam, history = reference_refine(level, ref_parts, n_parts, cap, passes)
+            assert _refine(level, new_parts, n_parts, cap, passes) == history, (h, parts, cap)
+            assert history[-1] == lam
             assert new_parts == ref_parts
 
 
@@ -614,7 +617,8 @@ def test_partition_matches_reference_refiner(monkeypatch):
                 for eps in cfg.eps_grid:
                     cases.append((h, n_parts, eps, rng.randrange(2**32)))
     got = [partition(*case) for case in cases]
-    monkeypatch.setattr(hypart, "_refine", reference_refine)
+    # _refine returns its history alone, whose last entry is the oracle's lam
+    monkeypatch.setattr(hypart, "_refine", lambda *args, **kwargs: reference_refine(*args, **kwargs)[1])
     for case, p in zip(cases, got):
         assert partition(*case) == p, case
 

@@ -10,8 +10,12 @@ import pytest
 from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.randgraph import GeneratorConfig, generate
+from concnas.hypart import Partition, build_hypergraph, partition
+from concnas.rng import KEY_PARTITION, derived_seed
 from concnas.score import (
     DEFAULT_EPS_GRID,
+    DEFAULT_WEIGHTS,
+    check_settings,
     concurrency_score,
     cs_value,
     overlap_ratio,
@@ -99,14 +103,16 @@ def test_report_internal_consistency():
         r = concurrency_score(arch, n, seed=rng.randrange(2**32))
         assert r.u_c == min(arch.out_bytes[u] for u, _ in arch.dag.edges)
         assert r.eta == overlap_ratio(arch.dag, n)
-        for rec in r.records:
-            assert rec.lam_norm == pytest.approx(rec.lam / (r.u_c * n))
-            assert rec.cs == pytest.approx(
-                cs_value(rec.imbalance, rec.lam_norm, r.eta, r.weights)
-            )
-        pool = [rec for rec in r.records if not rec.best_effort] or r.records
-        assert r.best_cs == min(rec.cs for rec in pool)
-        assert all(r.best_cs <= rec.cs for rec in pool)
+        assert [p.eps for p in r.partitions] == list(DEFAULT_EPS_GRID)
+        assert len(r.cs) == len(r.partitions)
+        for p, cs in zip(r.partitions, r.cs):
+            assert r.lam_norm(p) == p.lam / (r.u_c * n)
+            assert cs == cs_value(p.imbalance, p.lam / (r.u_c * n), r.eta, r.weights)
+        pool = [i for i, p in enumerate(r.partitions) if not p.best_effort] or range(len(r.partitions))
+        assert r.best is r.partitions[r.best_index]
+        assert r.best_index in pool
+        assert r.best_cs == r.cs[r.best_index] == min(r.cs[i] for i in pool)
+        assert all(r.best_cs <= r.cs[i] for i in pool)
 
 
 def test_best_record_is_feasible_when_any_is():
@@ -116,7 +122,7 @@ def test_best_record_is_feasible_when_any_is():
         g = roomy_graph(rng, max_n=24)
         arch = elaborate(orient(g), seed=rng.randrange(2**32))
         r = concurrency_score(arch, rng.randrange(2, 5), seed=rng.randrange(2**32))
-        feasible = [rec.cs for rec in r.records if not rec.best_effort]
+        feasible = [cs for p, cs in zip(r.partitions, r.cs) if not p.best_effort]
         if feasible:
             feasible_grids += 1
             assert not r.best.best_effort
@@ -128,9 +134,9 @@ def test_best_record_is_feasible_when_any_is():
     g = generate(GeneratorConfig(kind="ba", n_vertices=5, seed=3953131384, m=2))
     seed = 1187452441
     r = concurrency_score(elaborate(orient(g), seed=seed), 4, seed=seed)
-    assert all(rec.best_effort for rec in r.records)
-    assert len({rec.cs for rec in r.records}) > 1
-    assert r.best_cs == min(rec.cs for rec in r.records)
+    assert all(p.best_effort for p in r.partitions)
+    assert len(set(r.cs)) > 1
+    assert r.best_cs == min(r.cs)
 
 
 def test_score_deterministic():
@@ -185,10 +191,11 @@ def test_longer_grid_never_hurts():
         seed = rng.randrange(2**32)
         short = concurrency_score(arch, 3, eps_grid=DEFAULT_EPS_GRID[:2], seed=seed)
         full = concurrency_score(arch, 3, eps_grid=DEFAULT_EPS_GRID, seed=seed)
-        assert full.records[:2] == short.records
-        if any(not r.best_effort for r in short.records):
+        assert full.partitions[:2] == short.partitions
+        assert full.cs[:2] == short.cs
+        if any(not p.best_effort for p in short.partitions):
             assert full.best_cs <= short.best_cs
-        elif any(not r.best_effort for r in full.records):
+        elif any(not p.best_effort for p in full.partitions):
             assert not full.best.best_effort
         else:
             assert full.best_cs <= short.best_cs
@@ -200,6 +207,36 @@ def test_empty_grid_rejected():
         concurrency_score(arch, 2, eps_grid=())
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        pytest.param({"weights": (math.nan, 1.0, 1.0)}, id="weights-nan"),
+        pytest.param({"weights": (-1.0, 1.0, 1.0)}, id="weights-negative"),
+        pytest.param({"weights": (1.0, 2.0)}, id="two-weights"),
+        pytest.param({"weights": (1.0, math.inf, 1.0)}, id="weights-inf"),
+        pytest.param({"eps_grid": (1.1, 0.9)}, id="eps-below-1"),
+        pytest.param({"eps_grid": (math.inf,)}, id="eps-inf"),
+        pytest.param({"eps_grid": (math.nan,)}, id="eps-nan"),
+    ],
+)
+def test_score_rejects_bad_settings(settings):
+    arch = elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=10, p=0.3, seed=1))), seed=1)
+    with pytest.raises(ValueError):
+        concurrency_score(arch, 4, seed=1, **settings)
+    with pytest.raises(ValueError):
+        check_settings(settings.get("eps_grid", DEFAULT_EPS_GRID), settings.get("weights", DEFAULT_WEIGHTS))
+
+
+def test_best_is_the_chosen_partition():
+    """The report keeps each grid point's partition as ``partition`` returns it."""
+    arch = elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=10, p=0.3, seed=1))), seed=1)
+    h = build_hypergraph(arch)
+    r = concurrency_score(arch, 4, seed=7, hypergraph=h)
+    for i, eps in enumerate(DEFAULT_EPS_GRID):
+        assert r.partitions[i] == partition(h, 4, eps, seed=derived_seed(7, KEY_PARTITION, i))
+    assert isinstance(r.best, Partition)
+
+
 def test_metrics_writers(tmp_path):
     arch = elaborate(orient(path_graph(6)), seed=2)
     r = concurrency_score(arch, 4, seed=2)
@@ -207,7 +244,7 @@ def test_metrics_writers(tmp_path):
     cpath = tmp_path / "m.csv"
     write_metrics_csv(r, cpath)
     lines = cpath.read_text().strip().splitlines()
-    assert len(lines) == len(r.records) + 1
+    assert len(lines) == len(r.partitions) + 1
     assert lines[0].split(",")[-1] == "chosen"
     chosen = [line for line in lines[1:] if line.endswith(",1")]
     assert len(chosen) == 1

@@ -110,6 +110,14 @@ def test_generator_config_mapping():
         generator_config(cfg, "grid", 7)
 
 
+def test_units_above_smallest_dag_rejected():
+    # an n-vertex graph orients to a DAG of at least n + 2 vertices
+    with pytest.raises(ValueError, match="unit counts from 2 to 8"):
+        SweepConfig(n_vertices=6, units=(9,), generators=("er",), samples=1)
+    rows = run_sweep(SweepConfig(n_vertices=6, units=(8,), generators=("er",), samples=1))
+    assert [r["n_units"] for r in rows] == [8]
+
+
 def test_rows_csv_round_trip(small_rows, tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(small_rows, path)
