@@ -37,6 +37,7 @@ from .dagify import (
     dag_to_dict,
     topological_order,
 )
+from .randgraph import check_field_types
 from .rng import KEY_STAGING, substream
 
 STAGING_MODES = ("greedy", "probabilistic", "uniform")
@@ -57,11 +58,8 @@ class ElaborationConfig:
     bytes_per_element: int = 4
 
     def __post_init__(self):
+        check_field_types(self)
         s0, c0 = self.input_spatial, self.input_channels
-        for name in ("input_spatial", "input_channels", "channel_limit", "bytes_per_element"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if s0 < 1 or c0 < 1:
             raise ValueError(f"input shape must be positive, got {(s0, c0)}")
         if self.channel_limit < c0:

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence
 
 from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, elaborate, read_arch, write_arch
 from .dagify import depth_width_histogram, longest_path_length, orient, to_dot
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv
-from .hypart import build_hypergraph, partition, write_hmetis, write_partition
-from .randgraph import GeneratorConfig, generate
+from .hypart import build_hypergraph, check_tolerance, partition, write_hmetis, write_partition
+from .randgraph import GeneratorConfig, field_types, generate
 from .score import concurrency_score, write_metrics_csv
 from .sweep import SweepConfig, run_sweep, summarize, write_rows_csv
 
@@ -67,17 +66,15 @@ def _flag(name: str) -> str:
 def _add_fields(p: argparse.ArgumentParser, cls, names) -> None:
     """One flag per field, with no default: left unset, a flag is left out
     of the namespace and the dataclass default applies."""
-    hints = get_type_hints(cls)
     for name in names:
         flag = _flag(name)
-        hint = hints[name]
-        inner = [t for t in get_args(hint) if t is not type(None)]
+        base, depth, _ = field_types(cls)[name]
         kwargs = {"default": argparse.SUPPRESS}
-        if hint is bool:
+        if base is bool and not depth:
             kwargs["action"] = "store_false" if getattr(cls, name) else "store_true"
         else:
             kwargs["metavar"] = flag[2:].replace("-", "_").upper()
-            kwargs["type"] = _csv(inner[0]) if get_origin(hint) is tuple else (inner or [hint])[0]
+            kwargs["type"] = _csv(base) if depth else base
         p.add_argument(flag, dest=name, **kwargs)
 
 def _config(cls, args: argparse.Namespace, names, **nested):
@@ -118,9 +115,11 @@ def _check_partition_args(n: int, flag: str, part_counts, eps_values=()) -> None
     for k in part_counts:
         if not 2 <= k <= n:
             raise UsageError(f"{flag} must be between 2 and {n} (the DAG's vertex count), got {k}")
-    for eps in eps_values:
-        if not 1.0 <= eps < math.inf:
-            raise UsageError(f"--eps must be finite and at least 1, got {eps}")
+    try:
+        for eps in eps_values:
+            check_tolerance(eps)
+    except ValueError as exc:
+        raise UsageError(f"--eps: {exc}") from None
 
 def cmd_gen(args: argparse.Namespace) -> int:
     arch = _load_arch(args)

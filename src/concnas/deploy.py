@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .archmodel import ArchSpec
 from .dagify import vertex_depths
+from .randgraph import check_field_types
 
 COMMON_UNIT = -1  # pseudo unit: data replicated everywhere
 
@@ -39,6 +40,7 @@ class CostParams:
     include_gather: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.flops_per_time < math.inf:
             raise ValueError(f"flops_per_time must be finite and positive, got {self.flops_per_time}")
         # an infinite bandwidth is legal: transfers then cost latency only

@@ -21,14 +21,13 @@ seed.
 
 Coarsening levels are cached per hypergraph, and a level is shared by
 every part count whose weight cap lies in the interval over which its
-matching's weight tests agree.  Refinement derives its gain tables from
-the partition with one numpy kernel, ``_tables``: matrix products over
-the level's 0/1 incidence matrix, in float64.  Hyperedge weights are
-non-negative integers whose total is below 2**53, so every partial sum
-is an integer float64 holds exactly, whatever order BLAS adds in.  The
-kernel runs at the start of each ``_refine`` call and after each pass
-that gained; within a pass a move updates the tables only on hyperedges
-whose part counts cross a critical value.
+matching's weight tests agree.  Every move, rebalancing or refining,
+reads one gain state: FM's part counts and push and pull tables.  One
+numpy kernel, ``_tables``, derives them from the partition, exactly in
+float64 while the total hyperedge weight is below 2**53, and ``_move``
+keeps them on critical counts only.  The kernel runs in each rebalance,
+whose tables the refinement of its level takes, at the start of any
+other refinement, and after each pass that gained.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import numpy as np
 
 from .archmodel import ArchSpec
 from .dagify import topological_order
+from .randgraph import check_field_types
 from .rng import KEY_PARTITION, substream
 
 _MAX_PASSES = 20
@@ -68,10 +68,10 @@ class Hypergraph:
             raise ValueError("one weight per vertex required")
         # the partitioner tests its balance cap on integer part weights, and
         # sums hyperedge weights in float64, exact only below 2**53
+        check_field_types(self)
         for kind, ws in (("vertex", self.vertex_weights), ("hyperedge", self.weights)):
-            for w in ws:
-                if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                    raise ValueError(f"{kind} weight is not a non-negative integer: {w!r}")
+            if min(ws, default=0) < 0:
+                raise ValueError(f"{kind} weight is not a non-negative integer: {min(ws)}")
         if sum(self.weights) >= 1 << 53:
             raise ValueError(f"total hyperedge weight must be below 2**53, got {sum(self.weights)}")
         for e in self.pins:
@@ -273,53 +273,13 @@ def _initial_random(level: _Level, n_parts: int, seed: int) -> List[int]:
         parts[v] = i % n_parts
     return parts
 
-def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: float) -> None:
-    """Move vertices out of parts heavier than ``cap``, smallest connectivity
-    loss first, into parts that stay within ``cap``; stops when every part
-    fits or no such move is left.  Feasible parts only ever gain weight up
-    to ``cap``, so each vertex moves at most once."""
-    n, pins, lam, vw, ve = level.n, level.pins, level.lam, level.vw, level.ve
-    pw = _loads(vw, parts, n_parts)
-    if max(pw) <= cap:
-        return
-    psize = [0] * n_parts
-    for p in parts:
-        psize[p] += 1
-    counts = [[0] * n_parts for _ in pins]
-    for e, pin in enumerate(pins):
-        for v in pin:
-            counts[e][parts[v]] += 1
-    while any(w > cap for w in pw):
-        best = None
-        for v in range(n):
-            p = parts[v]
-            if pw[p] <= cap or psize[p] == 1 or vw[v] == 0:
-                continue
-            for q in range(n_parts):
-                if q == p or pw[q] + vw[v] > cap:
-                    continue
-                loss = sum(lam[e] * ((counts[e][q] == 0) - (counts[e][p] == 1)) for e in ve[v])
-                if best is None or loss < best[0]:
-                    best = (loss, v, q)
-        if best is None:
-            return
-        _, v, q = best
-        p = parts[v]
-        for e in ve[v]:
-            counts[e][p] -= 1
-            counts[e][q] += 1
-        parts[v] = q
-        pw[p] -= vw[v]
-        pw[q] += vw[v]
-        psize[p] -= 1
-        psize[q] += 1
-
 _STALL_LIMIT = 10  # tentative moves allowed past the best prefix before a pass aborts
 _OWN_PART = 1 << 63  # push entry of a vertex's own part, so min_push bounds real targets
 
-def _tables(
-    level: _Level, parts: Sequence[int], n_parts: int
-) -> Tuple[List[List[int]], List[List[int]], List[int], int]:
+# one gain state: part counts per hyperedge, push rows, pull, connectivity
+_Gains = Tuple[List[List[int]], List[List[int]], List[int], int]
+
+def _tables(level: _Level, parts: Sequence[int], n_parts: int) -> _Gains:
     """Gain tables of ``parts``: ``counts[e][t]``, the pins of hyperedge e
     in part t; ``push[v][t]``, the weight of v's hyperedges with no pin in
     part t (``_OWN_PART`` on v's own part); ``pull[v]``, the weight of v's
@@ -327,8 +287,7 @@ def _tables(
 
     Matrix products over the level's incidence matrix, widened to float64
     per call.  Every partial sum is a pin count or a sum of distinct
-    hyperedge weights, so an integer below 2**53 while ``Hypergraph``
-    keeps the total hyperedge weight there, and float64 holds it exactly.
+    hyperedge weights, an integer below 2**53, so float64 holds it exactly.
     """
     inc = level.incidence.astype(np.float64)
     lam = np.array(level.lam, dtype=np.float64)[:, None]
@@ -342,23 +301,110 @@ def _tables(
     connectivity = (n_parts - 1) * sum(level.lam) - sum(map(mul, level.lam, absent.sum(axis=1).tolist()))
     return counts.astype(np.int64).tolist(), push, pull, connectivity
 
+def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=None, q_room=-1) -> int:
+    """Move v to part q, with its part weights, sizes and pin counts, and
+    return the change in connectivity.  The rows of vertices not ``locked``
+    change only on hyperedges where a count crosses a critical value
+    (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
+    target count rises from 0 or 1.  The caller locks v first.  A push into
+    q that drops lowers ``min_push`` of a vertex weighing at most
+    ``q_room``; the default -1 fits none."""
+    pins, lam, vw = level.pins, level.lam, level.vw
+    p = parts[v]
+    parts[v] = q
+    pw[p] -= vw[v]
+    pw[q] += vw[v]
+    psize[p] -= 1
+    psize[q] += 1
+    delta = 0
+    for e in level.ve[v]:
+        ce = counts[e]
+        cp_old = ce[p]
+        cq_old = ce[q]
+        ce[p] = cp_old - 1
+        ce[q] = cq_old + 1
+        if cp_old > 2 and cq_old > 1:
+            continue
+        w_e = lam[e]
+        if cp_old == 1:
+            delta -= w_e
+            for u in pins[e]:
+                if not locked[u]:
+                    push[u][p] += w_e
+        elif cp_old == 2:
+            for u in pins[e]:
+                if parts[u] == p:
+                    if not locked[u]:
+                        pull[u] += w_e
+                    break
+        if cq_old == 0:
+            delta += w_e
+            for u in pins[e]:
+                if not locked[u]:
+                    row = push[u]
+                    row[q] -= w_e
+                    if vw[u] <= q_room and row[q] < min_push[u]:
+                        min_push[u] = row[q]
+        elif cq_old == 1:
+            for u in pins[e]:
+                if u != v and parts[u] == q:
+                    if not locked[u]:
+                        pull[u] -= w_e
+                    break
+    return delta
+
+def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: float) -> _Gains:
+    """Move vertices out of parts heavier than ``cap``, least connectivity
+    loss ``push[v][q] - pull[v]`` first (ties to the lowest vertex, then
+    part), into parts that stay within ``cap``, until every part fits or
+    no such move is left.  Returns what ``_tables`` gives for the final
+    ``parts``, for ``_refine`` to start from.  Feasible parts only gain
+    weight up to ``cap``, so each vertex moves at most once; its row is
+    rebuilt once the moves are done."""
+    n, lam, vw, ve = level.n, level.lam, level.vw, level.ve
+    pw = _loads(vw, parts, n_parts)
+    psize = list(map(parts.count, range(n_parts)))
+    counts, push, pull, connectivity = _tables(level, parts, n_parts)
+    locked = bytearray(n)
+    while max(pw) > cap:
+        best = None
+        for v in range(n):
+            p = parts[v]
+            if pw[p] <= cap or psize[p] == 1 or vw[v] == 0:
+                continue
+            pu = push[v]
+            for q in range(n_parts):
+                # p itself never fits, as it is over the cap
+                if pw[q] + vw[v] <= cap and (best is None or pu[q] - pull[v] < best[0]):
+                    best = (pu[q] - pull[v], v, q)
+        if best is None:
+            break
+        _, v, q = best
+        locked[v] = 1
+        connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull, locked)
+    for v in range(n):
+        if locked[v]:
+            r = parts[v]
+            push[v] = [sum(lam[e] for e in ve[v] if counts[e][t] == 0) for t in range(n_parts)]
+            push[v][r] = _OWN_PART
+            pull[v] = sum(lam[e] for e in ve[v] if counts[e][r] == 1)
+    return counts, push, pull, connectivity
+
 def _refine(
-    level: _Level, parts: List[int], n_parts: int, cap: float, max_passes: int = _MAX_PASSES
+    level: _Level, parts: List[int], n_parts: int, cap: float, max_passes: int = _MAX_PASSES,
+    tables: Optional[_Gains] = None,
 ) -> List[int]:
     """FM passes until no pass improves; returns the connectivity before
     the first pass and after each pass that gained, so its last entry is
     the connectivity of ``parts`` on return.
 
     Move gains are kept as pull (edges where the vertex is alone in its
-    part) minus push (edges absent from the target part).  ``_tables``
-    derives both, with the part counts, at the start of the call and
-    again after each pass that gained, once the moves past the best
-    prefix are undone; the kernel is exact while the total hyperedge
-    weight is below 2**53.  Within a pass a move changes the tables only
-    on the hyperedges where a count crosses a critical value (Fiduccia &
-    Mattheyses): the source count falls to 1 or 0, or the target count
-    rises from 0 or 1; the rest are skipped.  Locked vertices' rows are
-    left stale, since no later move of the pass reads them.
+    part) minus push (edges absent from the target part), with the part
+    counts: ``tables`` if handed in for these ``parts`` (``_rebalance``
+    does), else ``_tables``'s, and ``_tables``'s again after each pass
+    that gained, once the moves past the best prefix are undone.  Within
+    a pass ``_move`` keeps them; locked vertices' rows are left stale,
+    since no later move of the pass reads them.
 
     Each move takes the highest gain among targets within the cap, ties
     to the lowest vertex and then the lowest part.  Weights are integers
@@ -371,16 +417,13 @@ def _refine(
     source now admits vertices it barred (found by weight with
     ``bisect``).
     """
-    n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
-    ve = level.ve
+    n, vw = level.n, level.vw
     by_weight, sorted_w = level.by_weight, level.sorted_w
     max_w = sorted_w[-1]
     icap = math.floor(cap)
     pw = _loads(vw, parts, n_parts)
-    psize = [0] * n_parts
-    for p in parts:
-        psize[p] += 1
-    counts, push, pull, cur_lam = _tables(level, parts, n_parts)
+    psize = list(map(parts.count, range(n_parts)))
+    counts, push, pull, cur_lam = tables or _tables(level, parts, n_parts)
     history = [cur_lam]
     neg_inf = -(1 << 62)
 
@@ -422,47 +465,9 @@ def _refine(
             locked[v] = 1
             p = parts[v]
             w_v = vw[v]
-            q_room = icap - pw[q] - w_v  # heaviest vertex that fits in q after the move
-            for e in ve[v]:
-                ce = counts[e]
-                cp_old = ce[p]
-                cq_old = ce[q]
-                ce[p] = cp_old - 1
-                ce[q] = cq_old + 1
-                if cp_old > 2 and cq_old > 1:
-                    continue
-                w_e = lam[e]
-                if cp_old == 1:
-                    pass_lam -= w_e
-                    for u in pins[e]:
-                        if not locked[u]:
-                            push[u][p] += w_e
-                elif cp_old == 2:
-                    for u in pins[e]:
-                        if u != v and parts[u] == p:
-                            if not locked[u]:
-                                pull[u] += w_e
-                            break
-                if cq_old == 0:
-                    pass_lam += w_e
-                    for u in pins[e]:
-                        if not locked[u]:
-                            row = push[u]
-                            row[q] -= w_e
-                            if row[q] < min_push[u] and vw[u] <= q_room:
-                                min_push[u] = row[q]
-                elif cq_old == 1:
-                    for u in pins[e]:
-                        if parts[u] == q:
-                            if not locked[u]:
-                                pull[u] -= w_e
-                            break
             p_room = icap - pw[p]
-            parts[v] = q
-            pw[p] -= w_v
-            pw[q] += w_v
-            psize[p] -= 1
-            psize[q] += 1
+            q_room = icap - pw[q] - w_v  # heaviest vertex that fits in q after the move
+            pass_lam += _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push, q_room)
             if max_w > p_room:
                 # vertices weighing (p_room, p_room + w_v] fit in p only now
                 for u in by_weight[bisect_right(sorted_w, p_room):bisect_right(sorted_w, p_room + w_v)]:
@@ -532,6 +537,11 @@ def _hierarchy(h: Hypergraph, n_parts: int) -> List[_Level]:
         level = child
     return levels
 
+def check_tolerance(eps: float) -> None:
+    """Reject a balance tolerance that is not finite and at least 1."""
+    if not 1.0 <= eps < math.inf:
+        raise ValueError(f"balance tolerance must be finite and at least 1, got {eps}")
+
 def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partition:
     """Split vertices into ``n_parts`` non-empty groups, minimizing the
     connectivity metric subject to max part weight <= eps * average.
@@ -549,8 +559,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
         raise ValueError(f"need at least two parts, got {n_parts}")
     if n_parts > h.n_vertices:
         raise ValueError(f"more parts ({n_parts}) than vertices ({h.n_vertices})")
-    if not 1.0 <= eps < math.inf:
-        raise ValueError(f"balance tolerance must be finite and at least 1: {eps}")
+    check_tolerance(eps)
 
     total_w = sum(h.vertex_weights)
     cap = eps * total_w / n_parts
@@ -565,56 +574,46 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
         _initial_lpt(coarsest, n_parts),
         _initial_random(coarsest, n_parts, seed),
     ]
-    best_parts: Optional[List[int]] = None
-    best_key = best_hist = None
+    starts = []
     for cparts in candidates:
-        _rebalance(coarsest, cparts, n_parts, cap_eff)
-        hist = _refine(coarsest, cparts, n_parts, cap_eff, max_passes=_START_PASSES)
+        tables = _rebalance(coarsest, cparts, n_parts, cap_eff)
+        hist = _refine(coarsest, cparts, n_parts, cap_eff, max_passes=_START_PASSES, tables=tables)
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        key = (heaviest > cap_eff, hist[-1], heaviest)
-        if best_key is None or key < best_key:
-            best_key, best_parts, best_hist = key, cparts, hist
-    assert best_parts is not None and best_hist is not None
+        starts.append(((heaviest > cap_eff, hist[-1], heaviest), cparts, hist))
+    # feasible first, then the least connectivity, ties to the earlier start
+    _, best_parts, best_hist = min(starts, key=lambda start: start[0])
 
     # Coarse vertices pack worse than fine ones.  A start still over the cap
     # is projected and rebalanced level by level until it fits, and
     # refinement (which never fills a part past the cap) starts there.
     parts = best_parts
     start = len(levels) - 1
+    tables = None
     while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap_eff:
-        parts = [parts[levels[start].fine_map[v]] for v in range(levels[start - 1].n)]
+        parts = [parts[c] for c in levels[start].fine_map]
         start -= 1
-        _rebalance(levels[start], parts, n_parts, cap_eff)
+        tables = _rebalance(levels[start], parts, n_parts, cap_eff)
     if start == 0 and max(_loads(finest.vw, parts, n_parts)) > cap_eff:
         # greedy packing of the fine vertices is the fallback, so the result
         # fits whenever that packing does
         lpt = _initial_lpt(finest, n_parts)
         if max(_loads(finest.vw, lpt, n_parts)) <= cap_eff:
-            parts = lpt
+            parts, tables = lpt, None
 
     history: List[int] = []
     for idx in range(start, -1, -1):
         if idx < start:
-            coarse = levels[idx + 1]
-            parts = [parts[coarse.fine_map[v]] for v in range(levels[idx].n)]
+            parts = [parts[c] for c in levels[idx + 1].fine_map]
         elif idx == len(levels) - 1 and len(best_hist) <= _START_PASSES:
             # the start's own refinement ended on a pass without gain, and
             # the same pass from the same state would gain nothing again
             history.append(best_hist[-1])
             continue
-        history.extend(_refine(levels[idx], parts, n_parts, cap_eff))
+        history.extend(_refine(levels[idx], parts, n_parts, cap_eff, tables=tables if idx == start else None))
 
     imbalance = load_imbalance(h, parts, n_parts)
     best_effort = total_w > 0 and imbalance > eps * (1 + 1e-12)
-    return Partition(
-        parts=tuple(parts),
-        n_parts=n_parts,
-        eps=eps,
-        lam=history[-1],
-        imbalance=imbalance,
-        best_effort=best_effort,
-        lam_history=tuple(history),
-    )
+    return Partition(tuple(parts), n_parts, eps, history[-1], imbalance, best_effort, tuple(history))
 
 def write_hmetis(h: Hypergraph, path: str | Path) -> None:
     """Text export: header, one weighted pin line per hyperedge

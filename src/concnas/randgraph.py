@@ -10,14 +10,18 @@ Five families, all over vertex ids ``0..n-1`` and all seed-deterministic:
           merge vertices, stage boundaries recorded as markers
 
 Edges are stored as ``(u, v)`` with ``u < v`` in lexicographic order, so
-equal configurations serialize to identical bytes.
+equal configurations serialize to identical bytes.  ``check_field_types``,
+the type check that every config dataclass runs on its numeric fields,
+lives here, in the module that the others import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional, Tuple
+from functools import lru_cache
+from itertools import chain
+from typing import Dict, Iterator, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,6 +37,38 @@ GENERATORS = {
     "dp": ("p", "alpha", "beta"),
     "fb": ("k", "p", "stages"),
 }
+
+@lru_cache(maxsize=None)
+def field_types(cls) -> Dict[str, Tuple[type, int, bool]]:
+    """Per field of the dataclass ``cls``, read from its annotation: the
+    innermost type, the number of tuples around it, and whether the field
+    may be None (``Optional[Tuple[int, ...]]`` gives ``(int, 1, True)``)."""
+    found = {}
+    for name, hint in get_type_hints(cls).items():
+        depth, optional = 0, type(None) in get_args(hint)
+        while get_args(hint):
+            depth += get_origin(hint) is tuple
+            hint = next(t for t in get_args(hint) if t is not type(None))
+        found[name] = (hint, depth, optional)
+    return found
+
+def check_field_types(obj) -> None:
+    """Reject a value of the wrong type in a field of the dataclass ``obj``
+    annotated ``int`` or ``float``: an int field takes an ``int``, a float
+    field an ``int`` or a ``float``, and neither takes a ``bool``.  A tuple
+    field is checked item by item, and an Optional one may be None.  The
+    range rules stay with each class."""
+    for name, (base, depth, optional) in field_types(type(obj)).items():
+        values = [getattr(obj, name)]
+        if base not in (int, float) or optional and values[0] is None:
+            continue
+        for _ in range(depth):
+            values = list(chain.from_iterable(values))
+        # by distinct type, as a hypergraph's pins run to thousands of values
+        bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, (int, base))}
+        if bad:
+            value = next(v for v in values if type(v) in bad)
+            raise ValueError(f"{name} takes only {'integers' if base is int else 'numbers'}, got {value!r}")
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -56,6 +92,7 @@ class GeneratorConfig:
     stages: Optional[int] = None
 
     def __post_init__(self):
+        check_field_types(self)
         kind, n = self.kind, self.n_vertices
         if kind not in GENERATORS:
             raise ValueError(f"unknown generator kind: {kind!r}")

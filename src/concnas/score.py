@@ -27,17 +27,20 @@ from typing import Sequence, Tuple
 
 from .archmodel import ArchSpec
 from .dagify import ArchDag, longest_path_length
-from .hypart import Hypergraph, Partition, build_hypergraph, partition
+from .hypart import Hypergraph, Partition, build_hypergraph, check_tolerance, partition
 from .rng import KEY_PARTITION, derived_seed
 
 DEFAULT_EPS_GRID = (1.05, 1.10, 1.20, 1.35, 1.50)
 DEFAULT_WEIGHTS = (1.0, 1.5, 1.0)
 
-def overlap_ratio(dag: ArchDag, n_units: int) -> float:
-    """Longest path vertex count over the ideal per-unit share |V| / n."""
+def overlap_ratio(dag: ArchDag, n_units: int, path_length: int | None = None) -> float:
+    """Longest path vertex count over the ideal per-unit share |V| / n;
+    ``path_length``, if given, is that count for ``dag``."""
     if n_units < 1:
         raise ValueError(f"need at least one unit, got {n_units}")
-    return longest_path_length(dag) * n_units / dag.n_vertices
+    if path_length is None:
+        path_length = longest_path_length(dag)
+    return path_length * n_units / dag.n_vertices
 
 def cs_value(
     delta: float,
@@ -58,8 +61,10 @@ def check_settings(eps_grid: Sequence[float], weights: Sequence[float]) -> None:
     """Reject a grid or weights the score cannot use: the grid must hold
     at least one tolerance, each finite and at least 1, and the weights
     must be exactly three finite, non-negative numbers."""
-    if not eps_grid or not all(1.0 <= eps < math.inf for eps in eps_grid):
-        raise ValueError(f"need balance tolerances that are finite and at least 1, got {eps_grid}")
+    if not eps_grid:
+        raise ValueError("need at least one balance tolerance")
+    for eps in eps_grid:
+        check_tolerance(eps)
     if len(weights) != 3 or not all(0.0 <= w < math.inf for w in weights):
         raise ValueError(f"need exactly three finite, non-negative weights, got {weights}")
 
@@ -103,19 +108,20 @@ def concurrency_score(
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS,
     seed: int = 0,
     hypergraph: Hypergraph | None = None,
+    path_length: int | None = None,
 ) -> MetricsReport:
     """Score ``arch`` on ``n_units``; the reported CS is the minimum over
     the feasible grid points, or over the whole grid if none is feasible.
 
     ``eps_grid`` and ``weights`` must pass ``check_settings``.  A prebuilt
-    ``hypergraph`` may be passed to amortize repeated scoring of one
-    architecture at several unit counts.
+    ``hypergraph`` and the DAG's ``path_length`` may be passed to amortize
+    repeated scoring of one architecture at several unit counts.
     """
     check_settings(eps_grid, weights)
     h = hypergraph if hypergraph is not None else build_hypergraph(arch)
     return MetricsReport(
         n_units=n_units,
-        eta=overlap_ratio(arch.dag, n_units),
+        eta=overlap_ratio(arch.dag, n_units, path_length),
         u_c=min(arch.out_bytes[u] for u, _ in arch.dag.edges),
         weights=tuple(weights),
         partitions=tuple(

@@ -20,7 +20,7 @@ from .archmodel import ElaborationConfig, elaborate
 from .dagify import longest_path_length, orient
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
 from .hypart import build_hypergraph
-from .randgraph import GeneratorConfig, generate
+from .randgraph import GeneratorConfig, check_field_types, generate
 from .rng import sample_seed
 from .score import DEFAULT_EPS_GRID, DEFAULT_WEIGHTS, check_settings, concurrency_score
 
@@ -66,6 +66,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.generators:
             raise ValueError("need at least one generator")
         for kind in self.generators:
@@ -96,10 +97,13 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     arch = elaborate(dag, cfg.elaboration, seed)
     params_greedy = elaborate(dag, replace(cfg.elaboration, staging="greedy"), seed).total_params
     h = build_hypergraph(arch)
+    path = longest_path_length(dag)
     gd = group_chains(arch)
     rows = []
     for n in cfg.units:
-        report = concurrency_score(arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h)
+        report = concurrency_score(
+            arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h, path_length=path
+        )
         best = report.best
         placement = place_greedy(gd, n)
         sim = simulate(gd, placement, cfg.cost)
@@ -111,7 +115,7 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
                 "n_units": n,
                 "edges": len(graph.edges),
                 "dag_vertices": dag.n_vertices,
-                "longest_path": longest_path_length(dag),
+                "longest_path": path,
                 "eta": report.eta,
                 "u_c": report.u_c,
                 "cs": report.best_cs,

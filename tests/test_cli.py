@@ -8,6 +8,8 @@ import pytest
 
 from concnas.archmodel import read_arch
 from concnas.cli import main
+from concnas.hypart import Hypergraph, partition
+from concnas.score import DEFAULT_WEIGHTS, check_settings
 
 
 def run(capsys, *argv):
@@ -317,3 +319,20 @@ def test_exit_code_contract(case, tmp_path, capsys):
         outcome(tmp_path, capsys, out)
     else:
         assert err.startswith(outcome), err
+
+
+def test_tolerance_rule_is_one_check(tmp_path, capsys):
+    """``partition``, the score's settings check and both commands that take
+    --eps reject a tolerance below 1 with one message, and the commands
+    exit 1."""
+    h = Hypergraph(n_vertices=2, pins=((0, 1),), weights=(1,), vertex_weights=(1, 1))
+    messages = set()
+    for check in (lambda: partition(h, 2, 0.5), lambda: check_settings((1.1, 0.5), DEFAULT_WEIGHTS)):
+        with pytest.raises(ValueError) as info:
+            check()
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    (message,) = messages
+    graph = ("--kind", "er", "--n", "4", "--p", "0.5", "--out", str(tmp_path))
+    assert run(capsys, "partition", "--eps", "0.5", *graph) == (1, "", f"usage error: --eps: {message}\n")
+    assert run(capsys, "score", "--eps", "1.1,0.5", *graph) == (1, "", f"usage error: {message}\n")

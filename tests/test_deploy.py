@@ -505,3 +505,21 @@ def test_unit_past_n_units_runs_outside_unit_busy():
     assert ("compute", 1, 3, 0.0, 4.0) in r.trace
     assert r.unit_busy == (10.0, 0.0)
     assert r.makespan == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"link_latency": True}, id="link-latency-True"),
+        pytest.param({"flops_per_time": True}, id="flops-True"),
+        pytest.param({"bytes_per_time": True}, id="bytes-True"),
+    ],
+)
+def test_cost_params_reject_bool_numbers(fields):
+    with pytest.raises(ValueError, match="takes only numbers"):
+        CostParams(**fields)
+
+
+def test_cost_params_take_ints_and_infinite_bandwidth():
+    assert CostParams(1, 2, 0) == CostParams(1.0, 2.0, 0.0)
+    assert CostParams(bytes_per_time=math.inf).bytes_per_time == math.inf

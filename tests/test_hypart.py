@@ -6,7 +6,9 @@ oracle at small sizes.  The FM refiner that rescans every unpruned
 vertex row before each move, with a bound that ignores the cap, is kept
 below as the reference: the library's ``_refine`` must return equal
 results on every input.  The Python build of the gain tables is the
-reference for the numpy kernel ``_tables``.  Likewise a coarsening that
+reference for the numpy kernel ``_tables``, and the rebalance that keeps
+its own pin counts is the reference for ``_rebalance``, whose tables
+must equal that build's.  Likewise a coarsening that
 builds a fresh hierarchy for every part count is the reference for the
 levels that ``_hierarchy`` shares between part counts.
 """
@@ -26,6 +28,7 @@ from concnas.hypart import (
     _STALL_LIMIT,
     Hypergraph,
     _Level,
+    _rebalance,
     _refine,
     _tables,
     build_hypergraph,
@@ -275,7 +278,7 @@ def test_partition_rejects_bad_arguments():
     + [pytest.param((2**52, 2**52), (1, 1), id="hyperedge-total-2**53")],
 )
 def test_hypergraph_rejects_weight_that_is_not_a_nonnegative_int(weights, vertex_weights):
-    with pytest.raises(ValueError, match=r"non-negative integer|below 2\*\*53"):
+    with pytest.raises(ValueError, match=r"integer|below 2\*\*53"):
         Hypergraph(n_vertices=2, pins=((0, 1),) * len(weights), weights=weights, vertex_weights=vertex_weights)
 
 
@@ -510,6 +513,48 @@ def reference_tables(level, parts, n_parts):
     return counts, push, pull, connectivity
 
 
+def reference_rebalance(level, parts, n_parts, cap):
+    """The rebalance that keeps its own pin counts and sums each move's
+    connectivity loss afresh over the vertex's hyperedges."""
+    n, pins, lam, vw, ve = level.n, level.pins, level.lam, level.vw, level.ve
+    pw = [0] * n_parts
+    for v, p in enumerate(parts):
+        pw[p] += vw[v]
+    if max(pw) <= cap:
+        return
+    psize = [0] * n_parts
+    for p in parts:
+        psize[p] += 1
+    counts = [[0] * n_parts for _ in pins]
+    for e, pin in enumerate(pins):
+        for v in pin:
+            counts[e][parts[v]] += 1
+    while any(w > cap for w in pw):
+        best = None
+        for v in range(n):
+            p = parts[v]
+            if pw[p] <= cap or psize[p] == 1 or vw[v] == 0:
+                continue
+            for q in range(n_parts):
+                if q == p or pw[q] + vw[v] > cap:
+                    continue
+                loss = sum(lam[e] * ((counts[e][q] == 0) - (counts[e][p] == 1)) for e in ve[v])
+                if best is None or loss < best[0]:
+                    best = (loss, v, q)
+        if best is None:
+            return
+        _, v, q = best
+        p = parts[v]
+        for e in ve[v]:
+            counts[e][p] -= 1
+            counts[e][q] += 1
+        parts[v] = q
+        pw[p] -= vw[v]
+        pw[q] += vw[v]
+        psize[p] -= 1
+        psize[q] += 1
+
+
 def random_vertex_weights(rng, n):
     """Small weights, all zero, or small weights with one heavy outlier."""
     mode = rng.randrange(4)
@@ -601,6 +646,57 @@ def test_tables_match_reference_on_random_levels():
             assert repr(_tables(level, parts, n_parts)) == repr(reference_tables(level, parts, n_parts)), (n, pins, lam, parts)
 
 
+def test_rebalance_matches_reference_on_random_levels():
+    rng = random.Random(0x4EBA)
+    moved = 0
+    for _ in range(600):
+        h = random_weighted_hypergraph(rng, 60)
+        n = h.n_vertices
+        vw = list(h.vertex_weights)
+        level = _Level(n, [list(p) for p in h.pins], list(h.weights), vw, list(range(n)))
+        n_parts = rng.randrange(2, min(n, 12) + 1)
+        # most starts crowd a few parts, so they are over the cap
+        crowded = rng.randrange(1, n_parts + 1)
+        parts = [rng.randrange(crowded) for _ in range(n)]
+        total = sum(vw)
+        cap = rng.choice(
+            (total / n_parts, rng.uniform(1.0, 1.5) * total / n_parts, max(max(vw), total / n_parts))
+        )
+        ref_parts, new_parts = list(parts), list(parts)
+        reference_rebalance(level, ref_parts, n_parts, cap)
+        tables = _rebalance(level, new_parts, n_parts, cap)
+        assert new_parts == ref_parts, (h, parts, cap)
+        # repr also tells an int from an equal float
+        assert repr(tables) == repr(reference_tables(level, new_parts, n_parts)), (h, parts, cap)
+        moved += new_parts != parts
+    assert moved > 300
+
+
+def test_partition_kernel_calls_bounded(monkeypatch):
+    """The gain-table kernel runs about 50 us a call, a fixed numpy cost; a
+    change that adds a call per rebalance (or per pass) shows up here as
+    a count, before it shows up as time.  The bound is the count with
+    ``_refine`` taking the tables that ``_rebalance`` hands it; without
+    that hand-off each rebalance adds a call (2,775 here)."""
+    calls = 0
+    kernel = hypart._tables
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(hypart, "_tables", counting)
+    cfg = SweepConfig()
+    for kind in cfg.generators:
+        for index in range(2):
+            h = sweep_hypergraph(kind, index)
+            for n_parts in cfg.units:
+                for i, eps in enumerate(cfg.eps_grid):
+                    partition(h, n_parts, eps, seed=i)
+    assert calls <= 2119, calls
+
+
 def test_partition_matches_reference_refiner(monkeypatch):
     rng = random.Random(0x5EF2)
     cases = []
@@ -617,8 +713,11 @@ def test_partition_matches_reference_refiner(monkeypatch):
                 for eps in cfg.eps_grid:
                     cases.append((h, n_parts, eps, rng.randrange(2**32)))
     got = [partition(*case) for case in cases]
-    # _refine returns its history alone, whose last entry is the oracle's lam
-    monkeypatch.setattr(hypart, "_refine", lambda *args, **kwargs: reference_refine(*args, **kwargs)[1])
+    # _refine returns its history alone, whose last entry is the oracle's lam;
+    # the oracle builds its own tables, so the ones _rebalance hands on are dropped
+    monkeypatch.setattr(
+        hypart, "_refine", lambda *args, tables=None, **kwargs: reference_refine(*args, **kwargs)[1]
+    )
     for case, p in zip(cases, got):
         assert partition(*case) == p, case
 

@@ -326,3 +326,17 @@ def test_json_edges_sorted_on_disk():
     g = generate_er(15, 0.4, seed=8)
     doc = json.loads(json.dumps(graph_to_dict(g), sort_keys=True))
     assert doc["edges"] == sorted(doc["edges"])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"kind": "ba", "n_vertices": 10, "m": True, "seed": True}, id="ba-m-seed-True"),
+        pytest.param({"kind": "ba", "n_vertices": 10, "m": True}, id="ba-m-True"),
+        pytest.param({"kind": "ba", "n_vertices": 10, "m": 2, "seed": True}, id="seed-True"),
+        pytest.param({"kind": "er", "n_vertices": 10, "p": True}, id="er-p-True"),
+    ],
+)
+def test_generator_config_rejects_bool_numbers(fields):
+    with pytest.raises(ValueError, match="takes only"):
+        GeneratorConfig(**fields)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from concnas import dagify, score, sweep
 from concnas.sweep import (
     SweepConfig,
     generator_config,
@@ -131,3 +132,32 @@ def test_rows_csv_round_trip(small_rows, tmp_path):
     empty = tmp_path / "none.csv"
     write_rows_csv([], empty)
     assert empty.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"samples": True, "workers": True}, id="samples-workers-True"),
+        pytest.param({"samples": True}, id="samples-True"),
+        pytest.param({"workers": True}, id="workers-True"),
+        # True == 1.0 would pass the tolerance rule
+        pytest.param({"eps_grid": (True, 1.2)}, id="eps-True"),
+    ],
+)
+def test_sweep_config_rejects_bool_numbers(fields):
+    with pytest.raises(ValueError, match="takes only"):
+        SweepConfig(**fields)
+
+
+def test_path_length_computed_once_per_sample(monkeypatch):
+    calls = []
+
+    def counting(dag):
+        calls.append(dag)
+        return dagify.longest_path_length(dag)
+
+    for module in (score, sweep):
+        monkeypatch.setattr(module, "longest_path_length", counting)
+    rows = sweep.run_sample(SMALL, "er", 0)
+    assert len(rows) == len(SMALL.units)
+    assert len(calls) == 1
