@@ -20,7 +20,7 @@ from .randgraph import (
     generate_ws,
     ring_distance,
 )
-from .dagify import ArchDag, depth_width_histogram, longest_path_length, orient
+from .dagify import ArchDag, depth_width_histogram, orient
 from .archmodel import ArchSpec, BlockSpec, ElaborationConfig, block_flops, block_params, elaborate
 from .hypart import (
     Hypergraph,
@@ -75,7 +75,6 @@ __all__ = [
     "generate_ws",
     "group_chains",
     "load_imbalance",
-    "longest_path_length",
     "orient",
     "overlap_ratio",
     "partition",

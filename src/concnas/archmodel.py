@@ -35,7 +35,6 @@ from .dagify import (
     KIND_OUTPUT,
     dag_from_dict,
     dag_to_dict,
-    topological_order,
 )
 from .randgraph import check_field_types
 from .rng import KEY_STAGING, substream
@@ -184,10 +183,10 @@ def elaborate(dag: ArchDag, config: ElaborationConfig = ElaborationConfig(), see
         ArchSpec with one BlockSpec per vertex and exact integer costs.
     """
     s0, c0 = config.input_spatial, config.input_channels
-    pred = dag.predecessors()
+    pred = dag.predecessors
     blocks: list[Optional[BlockSpec]] = [None] * dag.n_vertices
     suppressed = 0
-    for v in topological_order(dag):
+    for v in dag.order:
         kind = dag.kinds[v]
         if kind == KIND_INPUT:
             blocks[v] = BlockSpec(kind, s0, c0, False, s0, c0, (), (), ())

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, elaborate, read_arch, write_arch
-from .dagify import depth_width_histogram, longest_path_length, orient, to_dot
+from .dagify import depth_width_histogram, orient, to_dot
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv
 from .hypart import build_hypergraph, check_tolerance, partition, write_hmetis, write_partition
 from .randgraph import GeneratorConfig, field_types, generate
@@ -135,7 +135,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     print(f"undirected edges: {len(dag.undirected.edges)}")
     print(f"dag vertices: {dag.n_vertices}")
     print(f"dag edges: {len(dag.edges)}")
-    print(f"longest path: {longest_path_length(dag)}")
+    print(f"longest path: {dag.longest_path}")
     print(f"total params: {arch.total_params}")
     print(f"total flops: {arch.total_flops}")
     print(f"wrote {arch_path} {dot_path}")

@@ -12,7 +12,9 @@ sources.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .randgraph import Edge, UndirectedGraph, graph_from_dict, graph_to_dict
@@ -24,7 +26,10 @@ KIND_OUTPUT = "output"
 
 @dataclass(frozen=True)
 class ArchDag:
-    """Directed architecture graph; ids cover blocks, merges, input, output."""
+    """Directed architecture graph; ids cover blocks, merges, input, output.
+
+    Adjacency, topological order, depths and the longest path are derived
+    from the edges on first access and kept."""
 
     n_vertices: int
     edges: Tuple[Edge, ...]
@@ -33,17 +38,56 @@ class ArchDag:
     kinds: Tuple[str, ...]
     undirected: Optional[UndirectedGraph] = field(default=None, compare=False)
 
-    def successors(self) -> list[list[int]]:
+    @cached_property
+    def successors(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per vertex, the heads of its out-edges in edge order."""
         succ: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
             succ[u].append(v)
-        return succ
+        return tuple(map(tuple, succ))
 
-    def predecessors(self) -> list[list[int]]:
+    @cached_property
+    def predecessors(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per vertex, the tails of its in-edges in edge order."""
         pred: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
             pred[v].append(u)
-        return pred
+        return tuple(map(tuple, pred))
+
+    @cached_property
+    def order(self) -> Tuple[int, ...]:
+        """Kahn order, smallest id first among ready vertices; raises
+        ValueError if the edges contain a cycle."""
+        succ = self.successors
+        missing = [len(p) for p in self.predecessors]
+        ready = [v for v in range(self.n_vertices) if missing[v] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in succ[v]:
+                missing[w] -= 1
+                if missing[w] == 0:
+                    heapq.heappush(ready, w)
+        if len(order) != self.n_vertices:
+            raise ValueError("directed edges contain a cycle")
+        return tuple(order)
+
+    @cached_property
+    def depths(self) -> Tuple[int, ...]:
+        """Longest-path distance from the input vertex, in edges."""
+        depth = [0] * self.n_vertices
+        pred = self.predecessors
+        for v in self.order:
+            if pred[v]:
+                depth[v] = 1 + max(depth[u] for u in pred[v])
+        return tuple(depth)
+
+    @cached_property
+    def longest_path(self) -> int:
+        """Vertex count of the longest input-to-output path."""
+        return self.depths[self.output_vertex] + 1
 
 def _dfs_discovery(n: int, adj: list[set[int]]) -> list[int]:
     """Discovery times of an ascending-neighbour DFS from smallest roots."""
@@ -126,43 +170,9 @@ def orient(g: UndirectedGraph) -> ArchDag:
         undirected=g,
     )
 
-def topological_order(d: ArchDag) -> list[int]:
-    """Kahn order, smallest id first among ready vertices."""
-    import heapq
-
-    pred = d.predecessors()
-    succ = d.successors()
-    missing = [len(p) for p in pred]
-    ready = [v for v in range(d.n_vertices) if missing[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ[v]:
-            missing[w] -= 1
-            if missing[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != d.n_vertices:
-        raise ValueError("directed edges contain a cycle")
-    return order
-
-def vertex_depths(d: ArchDag) -> list[int]:
-    """Longest-path distance from the input vertex, in edges."""
-    depth = [0] * d.n_vertices
-    pred = d.predecessors()
-    for v in topological_order(d):
-        if pred[v]:
-            depth[v] = 1 + max(depth[u] for u in pred[v])
-    return depth
-
-def longest_path_length(d: ArchDag) -> int:
-    """Vertex count of the longest input-to-output path."""
-    return vertex_depths(d)[d.output_vertex] + 1
-
 def depth_width_histogram(d: ArchDag) -> Tuple[int, ...]:
     """Vertex count per depth level; entries sum to ``n_vertices``."""
-    depths = vertex_depths(d)
+    depths = d.depths
     widths = [0] * (max(depths) + 1)
     for x in depths:
         widths[x] += 1

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .archmodel import ArchSpec
-from .dagify import vertex_depths
 from .randgraph import check_field_types
 
 COMMON_UNIT = -1  # pseudo unit: data replicated everywhere
@@ -84,13 +83,9 @@ class GroupedDag:
         dag = self.arch.dag
         n = dag.n_vertices
         nbytes = self.arch.out_bytes
-        succ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        n_pred = [0] * n
-        for u, v in dag.edges:
-            succ[u].append((v, nbytes[u]))
-            n_pred[v] += 1
-        keys = tuple(d * n + v for v, d in enumerate(vertex_depths(dag)))
-        return tuple(map(tuple, succ)), tuple(n_pred), keys
+        succ = tuple(tuple((w, nbytes[u]) for w in ws) for u, ws in enumerate(dag.successors))
+        keys = tuple(d * n + v for v, d in enumerate(dag.depths))
+        return succ, tuple(map(len, dag.predecessors)), keys
 
 @dataclass(frozen=True)
 class Placement:
@@ -111,8 +106,8 @@ class SimResult:
 def group_chains(arch: ArchSpec) -> GroupedDag:
     """Contract every out-degree-1 to in-degree-1 edge, to a fixpoint."""
     dag = arch.dag
-    succ = dag.successors()
-    pred = dag.predecessors()
+    succ = dag.successors
+    pred = dag.predecessors
     special = {dag.input_vertex, dag.output_vertex}
     nxt: Dict[int, int] = {}
     prv: Dict[int, int] = {}

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .archmodel import ArchSpec
-from .dagify import topological_order
 from .randgraph import check_field_types
 from .rng import KEY_PARTITION, substream
 
@@ -94,7 +93,7 @@ class Partition:
 def build_hypergraph(arch: ArchSpec) -> Hypergraph:
     """One hyperedge per producing vertex, spanning it and its consumers."""
     dag = arch.dag
-    succ = dag.successors()
+    succ = dag.successors
     pins: List[Tuple[int, ...]] = []
     weights: List[int] = []
     for u in range(dag.n_vertices):
@@ -102,9 +101,8 @@ def build_hypergraph(arch: ArchSpec) -> Hypergraph:
             continue
         pins.append(tuple([u] + sorted(succ[u])))
         weights.append(arch.out_bytes[u])
-    order = topological_order(dag)
     hint = [0] * dag.n_vertices
-    for pos, v in enumerate(order):
+    for pos, v in enumerate(dag.order):
         hint[v] = pos
     return Hypergraph(
         n_vertices=dag.n_vertices,

@@ -26,21 +26,18 @@ from pathlib import Path
 from typing import Sequence, Tuple
 
 from .archmodel import ArchSpec
-from .dagify import ArchDag, longest_path_length
+from .dagify import ArchDag
 from .hypart import Hypergraph, Partition, build_hypergraph, check_tolerance, partition
 from .rng import KEY_PARTITION, derived_seed
 
 DEFAULT_EPS_GRID = (1.05, 1.10, 1.20, 1.35, 1.50)
 DEFAULT_WEIGHTS = (1.0, 1.5, 1.0)
 
-def overlap_ratio(dag: ArchDag, n_units: int, path_length: int | None = None) -> float:
-    """Longest path vertex count over the ideal per-unit share |V| / n;
-    ``path_length``, if given, is that count for ``dag``."""
+def overlap_ratio(dag: ArchDag, n_units: int) -> float:
+    """Longest path vertex count over the ideal per-unit share |V| / n."""
     if n_units < 1:
         raise ValueError(f"need at least one unit, got {n_units}")
-    if path_length is None:
-        path_length = longest_path_length(dag)
-    return path_length * n_units / dag.n_vertices
+    return dag.longest_path * n_units / dag.n_vertices
 
 def cs_value(
     delta: float,
@@ -108,20 +105,19 @@ def concurrency_score(
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS,
     seed: int = 0,
     hypergraph: Hypergraph | None = None,
-    path_length: int | None = None,
 ) -> MetricsReport:
     """Score ``arch`` on ``n_units``; the reported CS is the minimum over
     the feasible grid points, or over the whole grid if none is feasible.
 
     ``eps_grid`` and ``weights`` must pass ``check_settings``.  A prebuilt
-    ``hypergraph`` and the DAG's ``path_length`` may be passed to amortize
-    repeated scoring of one architecture at several unit counts.
+    ``hypergraph`` may be passed to amortize repeated scoring of one
+    architecture at several unit counts.
     """
     check_settings(eps_grid, weights)
     h = hypergraph if hypergraph is not None else build_hypergraph(arch)
     return MetricsReport(
         n_units=n_units,
-        eta=overlap_ratio(arch.dag, n_units, path_length),
+        eta=overlap_ratio(arch.dag, n_units),
         u_c=min(arch.out_bytes[u] for u, _ in arch.dag.edges),
         weights=tuple(weights),
         partitions=tuple(

@@ -17,7 +17,7 @@ from statistics import mean, median
 from typing import Dict, List, Sequence, Tuple
 
 from .archmodel import ElaborationConfig, elaborate
-from .dagify import longest_path_length, orient
+from .dagify import orient
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
 from .hypart import build_hypergraph
 from .randgraph import GeneratorConfig, check_field_types, generate
@@ -97,13 +97,10 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     arch = elaborate(dag, cfg.elaboration, seed)
     params_greedy = elaborate(dag, replace(cfg.elaboration, staging="greedy"), seed).total_params
     h = build_hypergraph(arch)
-    path = longest_path_length(dag)
     gd = group_chains(arch)
     rows = []
     for n in cfg.units:
-        report = concurrency_score(
-            arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h, path_length=path
-        )
+        report = concurrency_score(arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h)
         best = report.best
         placement = place_greedy(gd, n)
         sim = simulate(gd, placement, cfg.cost)
@@ -115,7 +112,7 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
                 "n_units": n,
                 "edges": len(graph.edges),
                 "dag_vertices": dag.n_vertices,
-                "longest_path": path,
+                "longest_path": dag.longest_path,
                 "eta": report.eta,
                 "u_c": report.u_c,
                 "cs": report.best_cs,

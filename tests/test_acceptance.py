@@ -17,7 +17,7 @@ import pytest
 
 from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.cli import main as cli_main
-from concnas.dagify import orient, topological_order
+from concnas.dagify import orient
 from concnas.deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
 from concnas.hypart import Hypergraph, part_weights, partition, total_communication
 from concnas.randgraph import (
@@ -361,7 +361,7 @@ def test_criterion_9_property_suites(verdict):
     rng = random.Random(91)
     for _ in range(cases):
         dag = orient(random_small_graph(rng))
-        order = topological_order(dag)
+        order = dag.order
         pos = {v: i for i, v in enumerate(order)}
         assert len(order) == dag.n_vertices
         assert all(pos[u] < pos[v] for u, v in dag.edges)
@@ -372,8 +372,8 @@ def test_criterion_9_property_suites(verdict):
             orient(random_small_graph(rng)), seed=rng.randrange(2**32)
         )
         dag = arch.dag
-        pred = dag.predecessors()
-        for v in topological_order(dag):
+        pred = dag.predecessors
+        for v in dag.order:
             if v == dag.input_vertex:
                 continue
             b = arch.blocks[v]
@@ -405,9 +405,9 @@ def test_criterion_9_property_suites(verdict):
         n = rng.choice((2, 4, 8))
         res = simulate(gd, place_greedy(gd, n), params)
         dag = arch.dag
-        pred = dag.predecessors()
+        pred = dag.predecessors
         best = [0.0] * dag.n_vertices
-        for v in topological_order(dag):
+        for v in dag.order:
             incoming = max((best[u] for u in pred[v]), default=0.0)
             best[v] = incoming + arch.vertex_flops[v] / params.flops_per_time
         assert res.makespan >= best[dag.output_vertex] - 1e-9

@@ -23,7 +23,7 @@ from concnas.archmodel import (
     read_arch,
     write_arch,
 )
-from concnas.dagify import orient, topological_order
+from concnas.dagify import orient
 from concnas.randgraph import GeneratorConfig, generate
 from helpers import path_graph, random_small_graph
 
@@ -136,8 +136,8 @@ def test_shape_consistency_everywhere():
 def check_shapes(arch):
     """Every block reconciles its inputs' shapes as the cost model says."""
     dag = arch.dag
-    pred = dag.predecessors()
-    for v in topological_order(dag):
+    pred = dag.predecessors
+    for v in dag.order:
         b = arch.blocks[v]
         if v == dag.input_vertex:
             continue

@@ -213,6 +213,12 @@ def _add_flops(delta):
     return _edit(lambda doc: _block(doc).update(flops=_block(doc)["flops"] + delta))
 
 
+def _reverse_block_edge(doc):
+    """Add the reverse of the first block-to-block edge: a two-cycle."""
+    u, v = next((u, v) for u, v in doc["directed_edges"] if doc["kinds"][u] == doc["kinds"][v] == "block")
+    doc["directed_edges"].append([v, u])
+
+
 def _one_score_line_at(n):
     def check(tmp_path, capsys, out):
         assert out.startswith(f"n={n} ") and out.count("n=") == 1
@@ -284,6 +290,7 @@ CONTRACT = {
     "arch-flops-raised": (("simulate",), None, _add_flops(1000), 2, "i/o error:"),
     "arch-channels-text": (("simulate",), None, _edit(lambda doc: _block(doc).update(channels="x")), 2, "i/o error:"),
     "arch-edge-bytes-row-dropped": (("partition",), None, _edit(lambda doc: doc["edge_bytes"].pop()), 2, "i/o error:"),
+    "arch-cycle": (("simulate",), None, _edit(_reverse_block_edge), 2, "i/o error:"),
     "sweep-ws-k-names-family": (("sweep", "--n", "6"), None, None, 1, "usage error: ws generator, set by --ws-k=6"),
     "arch-with-generator-flags-simulate": (
         ("simulate", "--kind", "er", "--p", "0.9", "--channels", "8"), None, _UNCHANGED, 1,

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from concnas.archmodel import ElaborationConfig, elaborate
-from concnas.dagify import orient, topological_order, vertex_depths
+from concnas.dagify import orient
 from concnas.deploy import (
     COMMON_UNIT,
     CostParams,
@@ -57,15 +57,16 @@ def reference_place_greedy(gd, n_units, dedicated_merge_unit=False):
 
 
 def reference_simulate(gd, placement, params=CostParams(), keep_trace=False):
-    """Event loop that derives everything per call, keys unit state by unit
-    id and sends every hand-off, free or not, through the event heap."""
+    """Event loop that reads the DAG's adjacency and depths, not the grouped
+    DAG's plan, keys unit state by unit id and sends every hand-off, free
+    or not, through the event heap."""
     arch = gd.arch
     dag = arch.dag
     if len(placement.unit_of_group) != len(gd.groups):
         raise ValueError("placement does not cover every group")
-    succ = dag.successors()
-    pred = dag.predecessors()
-    depths = vertex_depths(dag)
+    succ = dag.successors
+    pred = dag.predecessors
+    depths = dag.depths
     unit_of = [placement.unit_of_group[gd.group_of[v]] for v in range(dag.n_vertices)]
     compute = [f / params.flops_per_time for f in arch.vertex_flops]
 
@@ -199,7 +200,7 @@ def test_grouping_structure():
         arch = elaborate(orient(g), seed=rng.randrange(2**32))
         gd = group_chains(arch)
         dag = arch.dag
-        succ = dag.successors()
+        succ = dag.successors
 
         covered = sorted(v for grp in gd.groups for v in grp)
         assert covered == list(range(dag.n_vertices))
@@ -362,9 +363,9 @@ def test_single_unit_equals_total_compute():
 
 def critical_path_time(arch, throughput):
     dag = arch.dag
-    pred = dag.predecessors()
+    pred = dag.predecessors
     best = [0.0] * dag.n_vertices
-    for v in topological_order(dag):
+    for v in dag.order:
         incoming = max((best[u] for u in pred[v]), default=0.0)
         best[v] = incoming + arch.vertex_flops[v] / throughput
     return best[dag.output_vertex]

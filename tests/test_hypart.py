@@ -126,7 +126,7 @@ def test_hyperedge_per_producer():
         g = random_small_graph(rng)
         arch = elaborate(orient(g), seed=rng.randrange(2**32))
         h = build_hypergraph(arch)
-        succ = arch.dag.successors()
+        succ = arch.dag.successors
         producers = [v for v in range(arch.dag.n_vertices) if succ[v]]
         assert len(h.pins) == len(producers)
         for pin, lam in zip(h.pins, h.weights):

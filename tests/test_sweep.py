@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
-from concnas import dagify, score, sweep
+from concnas import dagify, sweep
 from concnas.sweep import (
     SweepConfig,
     generator_config,
@@ -149,15 +150,24 @@ def test_sweep_config_rejects_bool_numbers(fields):
         SweepConfig(**fields)
 
 
-def test_path_length_computed_once_per_sample(monkeypatch):
-    calls = []
+def test_dag_structure_computed_once_per_sample(monkeypatch):
+    """One sample derives each of its DAG's structures once, however many
+    stages and unit counts read them."""
+    calls = dict.fromkeys(("successors", "predecessors", "order", "depths", "longest_path"), 0)
 
-    def counting(dag):
-        calls.append(dag)
-        return dagify.longest_path_length(dag)
+    def counted(name):
+        func = vars(dagify.ArchDag)[name].func
 
-    for module in (score, sweep):
-        monkeypatch.setattr(module, "longest_path_length", counting)
+        def wrapper(dag):
+            calls[name] += 1
+            return func(dag)
+
+        prop = cached_property(wrapper)
+        prop.__set_name__(dagify.ArchDag, name)
+        return prop
+
+    for name in calls:
+        monkeypatch.setattr(dagify.ArchDag, name, counted(name))
     rows = sweep.run_sample(SMALL, "er", 0)
     assert len(rows) == len(SMALL.units)
-    assert len(calls) == 1
+    assert calls == dict.fromkeys(calls, 1)
