@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation.
 
 Values resolve as CLI flag > config file (--config) > the default of the
 config dataclass the flag fills.  The dataclasses check every value
-before any pipeline work; a value they reject is a usage error.  A config
+before any pipeline work; a value they reject is a usage error, and so
+are cost parameters under which a simulated time overflows.  A config
 file is a flat JSON object keyed by flag names with ``_`` for ``-``, read
 as flags placed before the command line: lists are joined by commas,
 ``true`` is the bare flag and ``false`` leaves it out.  An --arch file
@@ -27,7 +28,9 @@ from typing import Optional, Sequence
 
 from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, elaborate, read_arch, write_arch
 from .dagify import depth_width_histogram, orient, to_dot
-from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv
+from .deploy import (
+    CostOverflowError, CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv,
+)
 from .hypart import build_hypergraph, check_tolerance, partition, write_hmetis, write_partition
 from .randgraph import GeneratorConfig, field_types, generate
 from .score import concurrency_score, write_metrics_csv
@@ -298,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command][1](args)
-    except UsageError as exc:
+    except (UsageError, CostOverflowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, ArchFileError, OSError) as exc:

@@ -24,6 +24,9 @@ from .randgraph import check_field_types
 
 COMMON_UNIT = -1  # pseudo unit: data replicated everywhere
 
+class CostOverflowError(ValueError):
+    """Cost parameters under which a simulated time is not finite."""
+
 @dataclass(frozen=True)
 class CostParams:
     """Uniform unit and link model.
@@ -212,9 +215,17 @@ def simulate(
     hand-offs are free.  The makespan is the completion of the output
     gather.
 
+    The event heap holds completions and readiness.  An input counts as
+    delivered when it is sent, and each vertex keeps the latest arrival
+    among its inputs sent so far; when its last input is sent, it enters
+    its unit's ready queue at once if that arrival is not in the future,
+    and otherwise enters the event heap once, at that arrival time.
+
     The static plan (successors with their producer's bytes, predecessor
     counts and vertex depths) is computed once per ``GroupedDag`` and
-    shared by every placement simulated on it.
+    shared by every placement simulated on it.  Cost parameters under
+    which the total compute time or the makespan is not finite raise
+    ``CostOverflowError`` naming them.
     """
     if len(placement.unit_of_group) != len(gd.groups):
         raise ValueError("placement does not cover every group")
@@ -223,6 +234,9 @@ def simulate(
     n = dag.n_vertices
     output = dag.output_vertex
     compute = [f / params.flops_per_time for f in gd.arch.vertex_flops]
+    total_compute = sum(compute)
+    if not total_compute < math.inf:
+        raise CostOverflowError(f"flops_per_time={params.flops_per_time!r} makes the compute times overflow")
     n_total = placement.n_units + (1 if placement.dedicated_merge_unit else 0)
 
     # Unit state lives in lists indexed by slot = unit - low, which keeps
@@ -238,31 +252,31 @@ def simulate(
     busy = [0.0] * n_slots
     link_free = [0.0] * (n_slots * n_slots)
     missing = list(n_pred)
+    arrival = [0.0] * n
     gather_free = not params.include_gather
     latency, bandwidth = params.link_latency, params.bytes_per_time
     trace: List[tuple] = []
     transfers = 0
     bytes_moved = 0
     out_time: Optional[float] = None
+    push, pop = heapq.heappush, heapq.heappop
 
     # Events are (time, seq, code): code v >= 0 completes vertex v, code ~w
-    # delivers a transfer to w.  Free hand-offs are applied inline: an
-    # arrival only counts down and queues, so its order within one
-    # timestamp does not matter, while completions keep their (time, seq)
-    # order, which fixes the FIFO order on every link.
+    # makes w ready.  Counting an input down when it is sent is exact
+    # because an arrival only counts down and queues, so only the latest
+    # one matters.  Completions keep their (time, seq) order, which fixes
+    # the FIFO order on every link.
     events: List[Tuple[float, int, int]] = [(0.0, 0, dag.input_vertex)]
     seq = 1
     while events:
         now = events[0][0]
         dirty: set[int] = set()
         while events and events[0][0] == now:
-            code = heapq.heappop(events)[2]
+            code = pop(events)[2]
             if code < 0:
                 w = ~code
-                missing[w] -= 1
-                if not missing[w] and slot[w] != common:
-                    heapq.heappush(ready[slot[w]], ready_key[w])
-                    dirty.add(slot[w])
+                push(ready[slot[w]], ready_key[w])
+                dirty.add(slot[w])
                 continue
             v = code
             if v == output:
@@ -272,40 +286,47 @@ def simulate(
                 dirty.add(src)
             for w, nbytes in succ[v]:
                 dst = slot[w]
-                if src == common or src == dst or (gather_free and w == output):
-                    missing[w] -= 1
-                    if not missing[w] and dst != common:
-                        heapq.heappush(ready[dst], ready_key[w])
-                        dirty.add(dst)
+                if not (src == common or src == dst or (gather_free and w == output)):
+                    link = src * n_slots + dst
+                    start = link_free[link]
+                    if not start > now:  # max(now, start) without a call
+                        start = now
+                    done = start + latency + nbytes / bandwidth
+                    link_free[link] = done
+                    transfers += 1
+                    bytes_moved += nbytes
+                    if keep_trace:
+                        trace.append(("transfer", v, w, src + low, dst + low, start, done))
+                    if done > arrival[w]:
+                        arrival[w] = done
+                missing[w] -= 1
+                if missing[w] or dst == common:
                     continue
-                link = src * n_slots + dst
-                start = link_free[link]
-                if not start > now:  # max(now, start) without a call
-                    start = now
-                done = start + latency + nbytes / bandwidth
-                link_free[link] = done
-                transfers += 1
-                bytes_moved += nbytes
-                if keep_trace:
-                    trace.append(("transfer", v, w, src + low, dst + low, start, done))
-                heapq.heappush(events, (done, seq, ~w))
-                seq += 1
-        for s in sorted(dirty):
+                if arrival[w] > now:
+                    push(events, (arrival[w], seq, ~w))
+                    seq += 1
+                else:
+                    push(ready[dst], ready_key[w])
+                    dirty.add(dst)
+        for s in dirty if len(dirty) == 1 else sorted(dirty):
             pool = ready[s]
             if not pool or unit_free[s] > now:
                 continue
-            v = heapq.heappop(pool) % n
+            v = pop(pool) % n
             finish = now + compute[v]
             unit_free[s] = finish
             busy[s] += compute[v]
             if keep_trace:
                 trace.append(("compute", v, s + low, now, finish))
-            heapq.heappush(events, (finish, seq, v))
+            push(events, (finish, seq, v))
             seq += 1
 
     if out_time is None:
         raise ValueError("output vertex never completed; dag or placement inconsistent")
-    total_compute = sum(compute)
+    if not out_time < math.inf:
+        raise CostOverflowError(
+            f"bytes_per_time={bandwidth!r} and link_latency={latency!r} make the makespan overflow"
+        )
     return SimResult(
         makespan=out_time,
         speedup_vs_single_unit=(total_compute / out_time) if out_time > 0 else 1.0,

@@ -18,10 +18,11 @@ lives here, in the module that the others import.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain
-from typing import Dict, Iterator, Optional, Tuple, get_args, get_origin, get_type_hints
+from itertools import accumulate, chain
+from typing import Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -146,18 +147,17 @@ def dp_edge_probability(alpha: float, p: float, beta: float, distance: int) -> f
     """Inclusion probability alpha * p**(beta * d), clamped to 1."""
     return min(1.0, alpha * p ** (beta * distance))
 
-def _pairs(n: int) -> Iterator[Edge]:
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
+def _coin_edges(us: np.ndarray, vs: np.ndarray, rng: np.random.Generator, probs) -> Tuple[Edge, ...]:
+    """One uniform draw per vertex pair (us[i], vs[i]), in the order of
+    ``np.triu_indices``: lexicographic, u < v.  A pair whose draw is below
+    its probability (``probs``, a scalar or one per pair) is an edge."""
+    keep = rng.random(len(us)) < probs
+    return tuple(zip(us[keep].tolist(), vs[keep].tolist()))
 
 def generate_er(n: int, p: float, seed: int) -> UndirectedGraph:
     """Independent coin per vertex pair, probability ``p`` each."""
     cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
-    rng = root_stream(seed)
-    pairs = list(_pairs(n))
-    draws = rng.random(len(pairs))
-    edges = tuple(pair for pair, x in zip(pairs, draws) if x < p)
+    edges = _coin_edges(*np.triu_indices(n, 1), root_stream(seed), p)
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
@@ -170,19 +170,19 @@ def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
     """
     cfg = GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=m)
     rng = root_stream(seed)
-    degree = np.zeros(n, dtype=np.int64)
+    weight = [1] * n  # degree + 1
     edges: list[Edge] = []
     for v in range(m, n):
         chosen: set[int] = set()
         while len(chosen) < m:
-            weights = degree[:v] + 1
-            cum = np.cumsum(weights)
-            t = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            if t in chosen:
-                continue
+            # integer totals below 2**53 scale and compare exactly as floats
+            cum = list(accumulate(weight[:v]))
+            t = bisect_right(cum, rng.random() * cum[-1])
+            while t in chosen:  # a duplicate is drawn again from the same weights
+                t = bisect_right(cum, rng.random() * cum[-1])
             chosen.add(t)
-            degree[t] += 1
-            degree[v] += 1
+            weight[t] += 1
+            weight[v] += 1
             edges.append((t, v))
     edges.sort()
     return UndirectedGraph(n_vertices=n, edges=tuple(edges), config=cfg)
@@ -222,11 +222,7 @@ def _ws_edges(
             adj[v].add(t)
             adj[t].add(v)
             rewired += 1
-    edges: set[Edge] = set()
-    for v in range(n):
-        for w in adj[v]:
-            a, b = sorted((v + offset, w + offset))
-            edges.add((a, b))
+    edges = {(v + offset, w + offset) for v in range(n) for w in adj[v] if v < w}
     return edges, rewired
 
 def generate_ws(n: int, k: int, p: float, seed: int) -> UndirectedGraph:
@@ -250,13 +246,11 @@ def generate_dp(n: int, p: float, alpha: float, beta: float, seed: int) -> Undir
     dominate and the graph splits into locally connected clusters.
     """
     cfg = GeneratorConfig(kind="dp", n_vertices=n, seed=seed, p=p, alpha=alpha, beta=beta)
-    rng = root_stream(seed)
-    pairs = list(_pairs(n))
-    probs = np.array(
-        [dp_edge_probability(alpha, p, beta, ring_distance(n, u, v)) for u, v in pairs]
-    )
-    draws = rng.random(len(pairs))
-    edges = tuple(pair for pair, x, q in zip(pairs, draws, probs) if x < q)
+    us, vs = np.triu_indices(n, 1)
+    gap = vs - us
+    # one probability per ring distance d = min(gap, n - gap), indexed by d
+    by_distance = np.array([dp_edge_probability(alpha, p, beta, d) for d in range(n // 2 + 1)])
+    edges = _coin_edges(us, vs, root_stream(seed), by_distance[np.minimum(gap, n - gap)])
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def fb_stage_ranges(n: int, stages: int) -> list[tuple[int, int]]:

@@ -249,6 +249,7 @@ def _simulated(tmp_path, capsys, out):
 
 _UNCHANGED = _edit(lambda doc: None)
 DP = ("--kind", "dp", "--n", "10", "--p", "0.3", "--seed", "1")
+WS = ("--kind", "ws", "--n", "8", "--k", "4", "--p", "0.5", "--units", "3")
 
 
 # case: (argv, config file contents, change to a gen output passed as
@@ -270,6 +271,17 @@ CONTRACT = {
     "weights-negative": (("score", *ER, "--units", "4", "--weights=-1,1,1"), None, None, 1, "usage error:"),
     "flops-per-time-inf": (("simulate", *ER, "--flops-per-time", "inf"), None, None, 1, "usage error:"),
     "bytes-per-time-inf": (("simulate", *ER, "--bytes-per-time", "inf"), None, None, 0, _simulated),
+    # a subnormal rate is finite and positive, but the times it gives overflow
+    "flops-per-time-subnormal": (
+        ("simulate", *WS, "--flops-per-time", "1e-320"), None, None, 1, "usage error: flops_per_time=1e-320 ",
+    ),
+    "bytes-per-time-subnormal": (
+        ("simulate", *WS, "--bytes-per-time", "1e-320"), None, None, 1, "usage error: bytes_per_time=1e-320 ",
+    ),
+    "sweep-flops-per-time-subnormal": (
+        ("sweep", "--samples", "1", "--generators", "er", "--flops-per-time", "1e-320"), None, None, 1,
+        "usage error: flops_per_time=1e-320 ",
+    ),
     "dp-alpha-nan": (("gen", *DP, "--alpha", "nan", "--beta", "1"), None, None, 1, "usage error:"),
     "dp-beta-nan": (("gen", *DP, "--alpha", "1", "--beta", "nan"), None, None, 1, "usage error:"),
     "dp-alpha-inf": (("gen", *DP, "--alpha", "inf", "--beta", "1"), None, None, 1, "usage error:"),

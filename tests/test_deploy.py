@@ -11,13 +11,16 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from concnas import deploy
 from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.deploy import (
     COMMON_UNIT,
+    CostOverflowError,
     CostParams,
     Placement,
     SimResult,
@@ -28,6 +31,9 @@ from concnas.deploy import (
     write_placement,
     write_trace_csv,
 )
+from concnas.randgraph import GeneratorConfig, generate
+from concnas.rng import sample_seed
+from concnas.sweep import SweepConfig, generator_config
 from helpers import dag_of, empty_graph, path_graph, random_small_graph, synthetic_arch
 
 UNIT_COST = CostParams(flops_per_time=1.0, bytes_per_time=1.0, link_latency=0.0)
@@ -524,3 +530,98 @@ def test_cost_params_reject_bool_numbers(fields):
 def test_cost_params_take_ints_and_infinite_bandwidth():
     assert CostParams(1, 2, 0) == CostParams(1.0, 2.0, 0.0)
     assert CostParams(bytes_per_time=math.inf).bytes_per_time == math.inf
+
+
+def _hand_case(n_blocks, edges, flops, out_bytes, vertex_units, n_units, dedicated=False):
+    """A synthetic architecture whose block vertex v runs on vertex_units[v];
+    the output sits on unit 0, or on unit n_units when dedicated."""
+    dag = dag_of(n_blocks, edges)
+    gd = group_chains(synthetic_arch(dag, flops, out_bytes))
+    units = [0] * len(gd.groups)
+    for v, u in enumerate(vertex_units):
+        units[gd.group_of[v]] = u
+    units[gd.input_group] = COMMON_UNIT
+    merge = n_units if dedicated else 0
+    units[gd.output_group] = merge
+    return gd, Placement(tuple(units), n_units, merge, dedicated)
+
+
+# name: (hand case arguments, cost parameters, makespan traced by hand)
+READINESS_CASES = {
+    # x and a on unit 1 feed c on unit 0 through one link: x's 100 bytes
+    # hold it over 1-101, so a (sent at 2) lands at 102, after b's input
+    # (sent last, at 5, on the idle link from unit 2) lands at 6
+    "last-sent-lands-first": (
+        (4, [(0, 3), (1, 3), (2, 3)], (1, 1, 5, 1, 0, 0), (100, 1, 1, 1, 1, 1), (1, 1, 2, 0), 3), UNIT_COST, 103.0,
+    ),
+    # r on unit 1 sends to c at 1 and lands at 11; the local l completes at 5
+    "local-input-between-send-and-land": (
+        (3, [(0, 2), (1, 2)], (1, 5, 1, 0, 0), (10, 1, 1, 1, 1), (1, 0, 0), 2), UNIT_COST, 12.0,
+    ),
+    # every transfer lands when it is sent: c waits only for b
+    "zero-latency-infinite-bandwidth": (
+        (3, [(0, 2), (1, 2)], (3, 5, 1, 0, 0), None, (0, 1, 0), 2), CostParams(1.0, math.inf, 0.0), 6.0,
+    ),
+    # z takes no time, so its completion and its transfer share timestamps
+    "zero-flop-vertex": (
+        (3, [(0, 1), (0, 2), (1, 2)], (2, 0, 1, 0, 0), (1, 0, 1, 1, 1), (0, 1, 0), 2), UNIT_COST, 4.0,
+    ),
+    # both blocks gather onto unit 2, each on its own link
+    "dedicated-merge-unit": ((2, [], (10, 10, 0, 0), None, (0, 1), 2, True), UNIT_COST, 11.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READINESS_CASES))
+def test_readiness_events_match_reference(case):
+    args, params, makespan = READINESS_CASES[case]
+    gd, p = _hand_case(*args)
+    r = simulate(gd, p, params, keep_trace=True)
+    assert r == reference_simulate(gd, p, params, keep_trace=True)
+    assert r.makespan == makespan
+
+
+def _simulate_units_inputs():
+    """The grouped architectures of seed 0's 100 ``simulate-units``
+    benchmark rounds: each generator's 40-vertex sample r at the sweep's
+    defaults."""
+    cfg = SweepConfig()
+    for r in range(100):
+        seed = sample_seed(0, r)
+        for kind in cfg.generators:
+            yield group_chains(elaborate(orient(generate(generator_config(cfg, kind, seed))), seed=seed))
+
+
+def test_at_most_three_heap_pushes_per_vertex(monkeypatch):
+    """A vertex enters the heaps at most three times: its completion, its
+    ready queue, and one readiness event when an input lands later than
+    its last input is sent.  One event per transfer averages 3.9."""
+    pushes = 0
+
+    def counting_push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    shim = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop, heapreplace=heapq.heapreplace)
+    monkeypatch.setattr(deploy, "heapq", shim)
+    worst = 0.0
+    for gd in _simulate_units_inputs():
+        for n in range(1, 17):
+            p = place_greedy(gd, n)
+            pushes = 0
+            simulate(gd, p)
+            worst = max(worst, pushes / gd.arch.dag.n_vertices)
+    assert worst <= 3.0
+
+
+@pytest.mark.parametrize("field", ["flops_per_time", "bytes_per_time"])
+def test_overflowing_cost_parameter_is_named(field):
+    gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="ws", n_vertices=8, k=4, p=0.5))), seed=0))
+    with pytest.raises(CostOverflowError, match=f"^{field}=1e-320 "):
+        simulate(gd, place_greedy(gd, 3), CostParams(**{field: 1e-320}))
+
+
+def test_bandwidth_without_transfers_cannot_overflow():
+    gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="ws", n_vertices=8, k=4, p=0.5))), seed=0))
+    r = simulate(gd, place_greedy(gd, 1), CostParams(bytes_per_time=1e-320))
+    assert r == simulate(gd, place_greedy(gd, 1)) and r.transfers == 0

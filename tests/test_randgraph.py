@@ -11,10 +11,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from concnas.randgraph import (
     GeneratorConfig,
+    UndirectedGraph,
+    _ws_edges,
     dp_edge_probability,
     fb_stage_ranges,
     generate,
@@ -27,6 +30,7 @@ from concnas.randgraph import (
     graph_to_dict,
     ring_distance,
 )
+from concnas.rng import root_stream
 from helpers import random_small_graph
 
 N_SEEDS = 1000
@@ -340,3 +344,132 @@ def test_json_edges_sorted_on_disk():
 def test_generator_config_rejects_bool_numbers(fields):
     with pytest.raises(ValueError, match="takes only"):
         GeneratorConfig(**fields)
+
+
+# The pair-by-pair generators that the array versions replaced, kept as
+# oracles: every generator must build equal graphs from equal seeds.
+
+def _reference_pairs(n):
+    for u in range(n):
+        for v in range(u + 1, n):
+            yield (u, v)
+
+
+def reference_generate_er(n, p, seed):
+    cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
+    rng = root_stream(seed)
+    pairs = list(_reference_pairs(n))
+    draws = rng.random(len(pairs))
+    edges = tuple(pair for pair, x in zip(pairs, draws) if x < p)
+    return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
+
+
+def reference_generate_dp(n, p, alpha, beta, seed):
+    cfg = GeneratorConfig(kind="dp", n_vertices=n, seed=seed, p=p, alpha=alpha, beta=beta)
+    rng = root_stream(seed)
+    pairs = list(_reference_pairs(n))
+    probs = np.array([min(1.0, alpha * p ** (beta * ring_distance(n, u, v))) for u, v in pairs])
+    draws = rng.random(len(pairs))
+    edges = tuple(pair for pair, x, q in zip(pairs, draws, probs) if x < q)
+    return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
+
+
+def reference_generate_ba(n, m, seed):
+    cfg = GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=m)
+    rng = root_stream(seed)
+    degree = np.zeros(n, dtype=np.int64)
+    edges = []
+    for v in range(m, n):
+        chosen = set()
+        while len(chosen) < m:
+            cum = np.cumsum(degree[:v] + 1)
+            t = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            if t in chosen:
+                continue
+            chosen.add(t)
+            degree[t] += 1
+            degree[v] += 1
+            edges.append((t, v))
+    edges.sort()
+    return UndirectedGraph(n_vertices=n, edges=tuple(edges), config=cfg)
+
+
+def reference_ws_edges(n, k, p, rng, offset=0):
+    adj = [set() for _ in range(n)]
+    for v in range(n):
+        for i in range(1, k // 2 + 1):
+            w = (v + i) % n
+            adj[v].add(w)
+            adj[w].add(v)
+    rewired = 0
+    for i in range(1, k // 2 + 1):
+        for v in range(n):
+            w = (v + i) % n
+            if w not in adj[v]:
+                continue
+            if rng.random() >= p:
+                continue
+            if len(adj[v]) >= n - 1:
+                continue
+            while True:
+                t = int(rng.integers(0, n))
+                if t != v and t not in adj[v]:
+                    break
+            adj[v].discard(w)
+            adj[w].discard(v)
+            adj[v].add(t)
+            adj[t].add(v)
+            rewired += 1
+    edges = set()
+    for v in range(n):
+        for w in adj[v]:
+            a, b = sorted((v + offset, w + offset))
+            edges.add((a, b))
+    return edges, rewired
+
+
+ORACLE_SEEDS = 300
+
+
+def _oracle_sizes(smallest):
+    return [smallest, 7, 12, 40, 41, 120]
+
+
+@pytest.mark.parametrize("n", _oracle_sizes(1))
+def test_er_matches_reference(n):
+    rng = random.Random(n)
+    for seed in range(ORACLE_SEEDS):
+        p = (0.0, 1.0, 0.12, rng.random())[seed % 4]
+        assert generate_er(n, p, seed) == reference_generate_er(n, p, seed)
+
+
+@pytest.mark.parametrize("n", _oracle_sizes(1))
+def test_dp_matches_reference(n):
+    """beta = 0 gives every pair probability alpha, and alpha >= 1 with a
+    small beta * d clamps the short distances at 1."""
+    rng = random.Random(n)
+    for seed in range(ORACLE_SEEDS):
+        p, alpha, beta = (
+            (0.4, 2.0, 2.0),
+            (rng.random(), rng.choice((0.5, 1.0, 2.5)), 0.0),
+            (rng.random(), rng.uniform(1, 4), rng.uniform(0, 0.5)),
+            (rng.random(), rng.uniform(0, 3), rng.uniform(0, 3)),
+        )[seed % 4]
+        assert generate_dp(n, p, alpha, beta, seed) == reference_generate_dp(n, p, alpha, beta, seed)
+
+
+@pytest.mark.parametrize("n", _oracle_sizes(2))
+def test_ba_matches_reference(n):
+    rng = random.Random(n)
+    for seed in range(ORACLE_SEEDS):
+        m = (1, n - 1, min(3, n - 1), rng.randrange(1, min(8, n)))[seed % 4]
+        assert generate_ba(n, m, seed) == reference_generate_ba(n, m, seed)
+
+
+@pytest.mark.parametrize("n", _oracle_sizes(1))
+def test_ws_edges_match_reference(n):
+    rng = random.Random(n)
+    for seed in range(ORACLE_SEEDS):
+        k = rng.randrange(0, min(n, 24), 2)
+        p, offset = (0.0, 1.0, 0.75, rng.random())[seed % 4], rng.choice((0, 5))
+        assert _ws_edges(n, k, p, root_stream(seed), offset) == reference_ws_edges(n, k, p, root_stream(seed), offset)
