@@ -14,10 +14,10 @@ and ranked feasible first, and Fiduccia-Mattheyses refinement
 to the best prefix, at most 20 passes per level).  The balance cap is
 hard: refinement never fills a part past it, and projection keeps part
 weights, so a partition that fits stays within the cap.  Vertex weights
-are non-negative integers, so refinement tests the cap as an integer,
-its floor, and prunes each move's scan with a bound on the gain over
-only the parts a vertex fits in.  Results are deterministic for a fixed
-seed.
+are non-negative integers, and ``partition`` computes the cap once, as
+an integer, for every move and test to read.  Refinement prunes each
+move's scan with a bound on the gain over only the parts a vertex fits
+in.  Results are deterministic for a fixed seed.
 
 Coarsening levels are cached per hypergraph, and a level is shared by
 every part count whose weight cap lies in the interval over which its
@@ -65,15 +65,17 @@ class Hypergraph:
             raise ValueError("one weight per hyperedge required")
         if len(self.vertex_weights) != self.n_vertices:
             raise ValueError("one weight per vertex required")
-        # the partitioner tests its balance cap on integer part weights, and
-        # sums hyperedge weights in float64, exact only below 2**53
+        # the partitioner computes its integer cap from the vertex-weight
+        # total, and sums hyperedge weights, in float64, exact only below 2**53
         check_field_types(self)
         for kind, ws in (("vertex", self.vertex_weights), ("hyperedge", self.weights)):
             if min(ws, default=0) < 0:
                 raise ValueError(f"{kind} weight is not a non-negative integer: {min(ws)}")
-        if sum(self.weights) >= 1 << 53:
-            raise ValueError(f"total hyperedge weight must be below 2**53, got {sum(self.weights)}")
+            if sum(ws) >= 1 << 53:
+                raise ValueError(f"total {kind} weight must be below 2**53, got {sum(ws)}")
         for e in self.pins:
+            if not e:
+                raise ValueError("empty hyperedge: it would count as touching -1 parts")
             if len(set(e)) != len(e):
                 raise ValueError(f"duplicate pins in hyperedge {e}")
             for v in e:
@@ -164,7 +166,7 @@ class _Level:
         # (lo, hi, contraction): the next level for every weight cap in [lo, hi), None if nothing matches
         self.children: List[Tuple[float, float, Optional[_Level]]] = []
 
-def _match_level(level: _Level, weight_cap: float) -> Tuple[Optional[_Level], float, float]:
+def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], float, float]:
     """Contract a greedy matching on shared hyperedge weight.
 
     Returns the contraction (None if no pair matches) and the interval
@@ -351,7 +353,7 @@ def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=No
                     break
     return delta
 
-def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: float) -> _Gains:
+def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gains:
     """Move vertices out of parts heavier than ``cap``, least connectivity
     loss ``push[v][q] - pull[v]`` first (ties to the lowest vertex, then
     part), into parts that stay within ``cap``, until every part fits or
@@ -389,7 +391,7 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: float) -> _Ga
     return counts, push, pull, connectivity
 
 def _refine(
-    level: _Level, parts: List[int], n_parts: int, cap: float, max_passes: int = _MAX_PASSES,
+    level: _Level, parts: List[int], n_parts: int, cap: int, max_passes: int = _MAX_PASSES,
     tables: Optional[_Gains] = None,
 ) -> List[int]:
     """FM passes until no pass improves; returns the connectivity before
@@ -405,10 +407,8 @@ def _refine(
     since no later move of the pass reads them.
 
     Each move takes the highest gain among targets within the cap, ties
-    to the lowest vertex and then the lowest part.  Weights are integers
-    and ``cap`` is finite, so ``pw + w <= cap`` is tested as
-    ``pw + w <= floor(cap)``.  A vertex is scanned only if
-    ``pull - min_push`` could beat the best gain so far, where
+    to the lowest vertex and then the lowest part.  A vertex is scanned
+    only if ``pull - min_push`` could beat the best gain so far, where
     ``min_push`` is a lower bound on its push over the parts it fits in.
     A scan sets the bound exactly; a move lowers it where the true
     minimum can fall: a push into the destination drops, or the lighter
@@ -418,7 +418,6 @@ def _refine(
     n, vw = level.n, level.vw
     by_weight, sorted_w = level.by_weight, level.sorted_w
     max_w = sorted_w[-1]
-    icap = math.floor(cap)
     pw = _loads(vw, parts, n_parts)
     psize = list(map(parts.count, range(n_parts)))
     counts, push, pull, cur_lam = tables or _tables(level, parts, n_parts)
@@ -446,7 +445,7 @@ def _refine(
                 if psize[parts[v]] == 1:
                     continue
                 pu = push[v]
-                room = icap - vw[v]
+                room = cap - vw[v]
                 mn, mq = _OWN_PART, -1
                 for q in range(n_parts):
                     pq = pu[q]
@@ -463,8 +462,8 @@ def _refine(
             locked[v] = 1
             p = parts[v]
             w_v = vw[v]
-            p_room = icap - pw[p]
-            q_room = icap - pw[q] - w_v  # heaviest vertex that fits in q after the move
+            p_room = cap - pw[p]
+            q_room = cap - pw[q] - w_v  # heaviest vertex that fits in q after the move
             pass_lam += _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push, q_room)
             if max_w > p_room:
                 # vertices weighing (p_room, p_room + w_v] fit in p only now
@@ -509,19 +508,18 @@ def _coarsen(h: Hypergraph) -> _Level:
         list(h.order_hint) if h.order_hint is not None else list(range(h.n_vertices)),
     )
 
-def _hierarchy(h: Hypergraph, n_parts: int) -> List[_Level]:
-    """Coarsening hierarchy for ``n_parts``, finest level first.
+def _hierarchy(h: Hypergraph, n_parts: int, coarse_cap: int) -> List[_Level]:
+    """Coarsening hierarchy for ``n_parts``, finest level first, where no
+    coarse vertex outweighs ``coarse_cap`` unless one fine vertex does.
 
     The contraction of a level depends on the part count only through
     ``coarse_cap``, so a level built for one part count is reused for any
-    other whose cap falls in the child's interval; it does not depend on
-    the balance tolerance at all.  Callers must not mutate the levels.
+    other whose cap falls in the child's interval.  Callers must not
+    mutate the levels.
     """
     level = _coarsen(h)
     levels = [level]
     floor = max(2 * n_parts, 12)
-    # at most an ideal part's weight: below every cap, and the same for every tolerance
-    coarse_cap = max(sum(h.vertex_weights) / n_parts, float(max(h.vertex_weights, default=0)))
     while level.n > floor:
         for lo, hi, child in level.children:
             if lo <= coarse_cap < hi:
@@ -560,10 +558,12 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     check_tolerance(eps)
 
     total_w = sum(h.vertex_weights)
-    cap = eps * total_w / n_parts
-    cap_eff = max(cap, float(max(h.vertex_weights, default=0)))
-
-    levels = _hierarchy(h, n_parts)
+    max_vw = max(h.vertex_weights, default=0)
+    # part weights are integers, so the cap is one; held to the total, which
+    # admits every move, it is finite for every finite tolerance
+    cap = max(math.floor(min(eps * total_w / n_parts, total_w)), max_vw)
+    # coarse vertices weigh at most an ideal part: the same for every tolerance
+    levels = _hierarchy(h, n_parts, max(total_w // n_parts, max_vw))
     finest = levels[0]
 
     coarsest = levels[-1]
@@ -574,10 +574,10 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     ]
     starts = []
     for cparts in candidates:
-        tables = _rebalance(coarsest, cparts, n_parts, cap_eff)
-        hist = _refine(coarsest, cparts, n_parts, cap_eff, max_passes=_START_PASSES, tables=tables)
+        tables = _rebalance(coarsest, cparts, n_parts, cap)
+        hist = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        starts.append(((heaviest > cap_eff, hist[-1], heaviest), cparts, hist))
+        starts.append(((heaviest > cap, hist[-1], heaviest), cparts, hist))
     # feasible first, then the least connectivity, ties to the earlier start
     _, best_parts, best_hist = min(starts, key=lambda start: start[0])
 
@@ -587,15 +587,15 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     parts = best_parts
     start = len(levels) - 1
     tables = None
-    while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap_eff:
+    while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap:
         parts = [parts[c] for c in levels[start].fine_map]
         start -= 1
-        tables = _rebalance(levels[start], parts, n_parts, cap_eff)
-    if start == 0 and max(_loads(finest.vw, parts, n_parts)) > cap_eff:
+        tables = _rebalance(levels[start], parts, n_parts, cap)
+    if start == 0 and max(_loads(finest.vw, parts, n_parts)) > cap:
         # greedy packing of the fine vertices is the fallback, so the result
         # fits whenever that packing does
         lpt = _initial_lpt(finest, n_parts)
-        if max(_loads(finest.vw, lpt, n_parts)) <= cap_eff:
+        if max(_loads(finest.vw, lpt, n_parts)) <= cap:
             parts, tables = lpt, None
 
     history: List[int] = []
@@ -607,7 +607,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
             # the same pass from the same state would gain nothing again
             history.append(best_hist[-1])
             continue
-        history.extend(_refine(levels[idx], parts, n_parts, cap_eff, tables=tables if idx == start else None))
+        history.extend(_refine(levels[idx], parts, n_parts, cap, tables=tables if idx == start else None))
 
     imbalance = load_imbalance(h, parts, n_parts)
     best_effort = total_w > 0 and imbalance > eps * (1 + 1e-12)

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .rng import root_stream
+from .rng import substream
 
 Edge = Tuple[int, int]
 
@@ -157,7 +157,7 @@ def _coin_edges(us: np.ndarray, vs: np.ndarray, rng: np.random.Generator, probs)
 def generate_er(n: int, p: float, seed: int) -> UndirectedGraph:
     """Independent coin per vertex pair, probability ``p`` each."""
     cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
-    edges = _coin_edges(*np.triu_indices(n, 1), root_stream(seed), p)
+    edges = _coin_edges(*np.triu_indices(n, 1), substream(seed), p)
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
@@ -169,7 +169,7 @@ def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
     so the result always has exactly m * (n - m) edges.
     """
     cfg = GeneratorConfig(kind="ba", n_vertices=n, seed=seed, m=m)
-    rng = root_stream(seed)
+    rng = substream(seed)
     weight = [1] * n  # degree + 1
     edges: list[Edge] = []
     for v in range(m, n):
@@ -232,7 +232,7 @@ def generate_ws(n: int, k: int, p: float, seed: int) -> UndirectedGraph:
     ``p``.  The edge count stays n * k / 2.
     """
     cfg = GeneratorConfig(kind="ws", n_vertices=n, seed=seed, p=p, k=k)
-    rng = root_stream(seed)
+    rng = substream(seed)
     edges, rewired = _ws_edges(n, k, p, rng)
     return UndirectedGraph(
         n_vertices=n, edges=tuple(sorted(edges)), config=cfg, rewired=rewired
@@ -250,7 +250,7 @@ def generate_dp(n: int, p: float, alpha: float, beta: float, seed: int) -> Undir
     gap = vs - us
     # one probability per ring distance d = min(gap, n - gap), indexed by d
     by_distance = np.array([dp_edge_probability(alpha, p, beta, d) for d in range(n // 2 + 1)])
-    edges = _coin_edges(us, vs, root_stream(seed), by_distance[np.minimum(gap, n - gap)])
+    edges = _coin_edges(us, vs, substream(seed), by_distance[np.minimum(gap, n - gap)])
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def fb_stage_ranges(n: int, stages: int) -> list[tuple[int, int]]:
@@ -273,7 +273,7 @@ def generate_fb(n: int, k: int, p: float, stages: int, seed: int) -> UndirectedG
     largest even degree below the stage size.
     """
     cfg = GeneratorConfig(kind="fb", n_vertices=n, seed=seed, p=p, k=k, stages=stages)
-    rng = root_stream(seed)
+    rng = substream(seed)
     edges: set[Edge] = set()
     rewired = 0
     ranges = fb_stage_ranges(n, stages)

@@ -5,7 +5,8 @@ that a (seed, purpose) pair maps to one reproducible stream on any
 platform.  Streams are split by feeding the integer key path into
 ``numpy.random.SeedSequence``: ``substream(seed, a, b)`` hashes the words
 ``[seed, a, b]``, so distinct key paths give independent streams and the
-same path always gives the same one.
+same path always gives the same one.  The graph generators draw from
+``substream(seed)``, the path of the seed alone.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ _MASK64 = (1 << 64) - 1
 KEY_STAGING = 1
 KEY_PARTITION = 2
 KEY_SAMPLE = 3
-
-def root_stream(seed: int) -> np.random.Generator:
-    """Top-level stream for a generator run."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & _MASK64)))
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent stream for (seed, *path); stable under call order."""

@@ -243,6 +243,12 @@ def _arch_reads_back(name, spatial):
     return check
 
 
+def _wrote(name):
+    def check(tmp_path, capsys, out):
+        assert f"wrote {tmp_path / name}" in out
+    return check
+
+
 def _simulated(tmp_path, capsys, out):
     assert out.startswith("groups=") and "makespan=" in out
 
@@ -285,6 +291,15 @@ CONTRACT = {
     "dp-alpha-nan": (("gen", *DP, "--alpha", "nan", "--beta", "1"), None, None, 1, "usage error:"),
     "dp-beta-nan": (("gen", *DP, "--alpha", "1", "--beta", "nan"), None, None, 1, "usage error:"),
     "dp-alpha-inf": (("gen", *DP, "--alpha", "inf", "--beta", "1"), None, None, 1, "usage error:"),
+    # the largest finite tolerances: the balance cap stops at the total weight
+    "partition-eps-1e308": (
+        ("partition", "--kind", "er", "--n", "8", "--p", "0.5", "--parts", "2", "--eps", "1e308"), None, None, 0,
+        _wrote("partition.json"),
+    ),
+    "score-eps-1e308": (
+        ("score", "--kind", "er", "--n", "8", "--p", "0.5", "--units", "2", "--eps", "1.05,1e308"), None, None, 0,
+        _wrote("metrics_n2.csv"),
+    ),
     "gen-er-spatial-12": (("gen", *ER, "--spatial", "12"), None, None, 0, _arch_reads_back("er_10_1.json", 12)),
     "unknown-config-key": (("gen", *ER), {"bogus": 1}, None, 1, "usage error:"),
     "config-flag-not-boolean": (("partition", *ER), {"hmetis": "no"}, None, 1, "usage error:"),

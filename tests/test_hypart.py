@@ -15,6 +15,7 @@ levels that ``_hierarchy`` shares between part counts.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -274,12 +275,21 @@ def test_partition_rejects_bad_arguments():
     + [pytest.param((w,), (1, 1), id=f"hyperedge-{w}") for w in (2.0, 2.5, -1, "3")]
     # bool is an int subclass, but a True weight is a flag, not a count
     + [pytest.param((1,), (1, True), id="vertex-True"), pytest.param((True,), (1, 1), id="hyperedge-True")]
-    # the gain tables sum hyperedge weights in float64, exact below 2**53
-    + [pytest.param((2**52, 2**52), (1, 1), id="hyperedge-total-2**53")],
+    # the gain tables sum hyperedge weights, and the cap is computed from the
+    # vertex-weight total, in float64, exact below 2**53
+    + [pytest.param((2**52, 2**52), (1, 1), id="hyperedge-total-2**53")]
+    + [pytest.param((1,), (2**52, 2**52), id="vertex-total-2**53")]
+    + [pytest.param((1,), (10**400, 1), id="vertex-total-10**400")],
 )
 def test_hypergraph_rejects_weight_that_is_not_a_nonnegative_int(weights, vertex_weights):
     with pytest.raises(ValueError, match=r"integer|below 2\*\*53"):
         Hypergraph(n_vertices=2, pins=((0, 1),) * len(weights), weights=weights, vertex_weights=vertex_weights)
+
+
+def test_hypergraph_rejects_empty_hyperedge():
+    # it would count as touching -1 parts, so a partition's lam could go negative
+    with pytest.raises(ValueError, match="empty hyperedge"):
+        Hypergraph(n_vertices=3, pins=((), (0, 1)), weights=(5, 5), vertex_weights=(1, 1, 1))
 
 
 def test_hypergraph_needs_one_weight_per_vertex():
@@ -604,12 +614,14 @@ def test_refine_matches_reference_on_random_levels():
             n_parts = rng.randrange(2, min(n, max_parts) + 1)
             parts = [rng.randrange(n_parts) for _ in range(n)]
             total = sum(vw)
-            cap = rng.choice(
-                (
-                    float(rng.randrange(0, total + 1)),
-                    rng.uniform(0.0, 1.5 * total / n_parts),
-                    rng.uniform(1.0, 3.7) * total / n_parts,
-                    max(max(vw), total / n_parts),
+            cap = math.floor(
+                rng.choice(
+                    (
+                        float(rng.randrange(0, total + 1)),
+                        rng.uniform(0.0, 1.5 * total / n_parts),
+                        rng.uniform(1.0, 3.7) * total / n_parts,
+                        max(max(vw), total / n_parts),
+                    )
                 )
             )
             passes = rng.choice(pass_choices)
@@ -659,8 +671,8 @@ def test_rebalance_matches_reference_on_random_levels():
         crowded = rng.randrange(1, n_parts + 1)
         parts = [rng.randrange(crowded) for _ in range(n)]
         total = sum(vw)
-        cap = rng.choice(
-            (total / n_parts, rng.uniform(1.0, 1.5) * total / n_parts, max(max(vw), total / n_parts))
+        cap = math.floor(
+            rng.choice((total / n_parts, rng.uniform(1.0, 1.5) * total / n_parts, max(max(vw), total / n_parts)))
         )
         ref_parts, new_parts = list(parts), list(parts)
         reference_rebalance(level, ref_parts, n_parts, cap)
@@ -720,6 +732,20 @@ def test_partition_matches_reference_refiner(monkeypatch):
     )
     for case, p in zip(cases, got):
         assert partition(*case) == p, case
+
+
+def test_tolerance_at_or_above_part_count_admits_every_move():
+    """At eps = k the cap is the total weight, so no larger tolerance,
+    up to the largest finite float, changes the partition."""
+    rng = random.Random(0xCA9)
+    for _ in range(40):
+        h = random_weighted_hypergraph(rng, 60)
+        k = rng.randrange(2, min(h.n_vertices, 12) + 1)
+        seed = rng.randrange(2**32)
+        want = partition(h, k, k, seed)
+        for eps in (k + rng.random(), rng.uniform(k, 1e6), 1e308):
+            got = partition(h, k, eps, seed)
+            assert (got.parts, got.lam) == (want.parts, want.lam), (h, k, eps)
 
 
 def reference_match_level(level, weight_cap):
@@ -815,7 +841,8 @@ def test_coarsen_shared_across_part_counts_matches_reference():
             rng.shuffle(ks)
             hypart._coarsen.cache_clear()
             for k in ks:
-                got = hypart._hierarchy(h, k)
+                # the reference takes the same cap unfloored
+                got = hypart._hierarchy(h, k, max(sum(h.vertex_weights) // k, max(h.vertex_weights)))
                 want = reference_coarsen(h, k)
                 assert len(got) == len(want), (h, k)
                 for a, b in zip(got, want):
