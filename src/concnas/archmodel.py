@@ -282,9 +282,9 @@ def write_arch(a: ArchSpec, path: str | Path) -> None:
 def read_arch(path: str | Path) -> ArchSpec:
     """Rebuild the architecture from the file's DAG and elaboration
     settings; a file that is not exactly ``arch_to_dict`` of its rebuild
-    raises ArchFileError."""
-    doc = json.loads(Path(path).read_text())
+    raises ArchFileError, and so does one that does not decode as JSON."""
     try:
+        doc = json.loads(Path(path).read_text())
         settings = dict(doc["elaboration"])
         del settings["suppressed_stagings"]
         seed = settings.pop("seed")

@@ -2,11 +2,13 @@
 
 Subcommands: gen, score, partition, simulate, sweep, histogram.
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation.
+The exception decides the code: an ArchFileError or OSError is an I/O
+error, any other ValueError, from whichever layer checked the input, is
+a usage error, and a KeyError is an invariant violation.
 
 Values resolve as CLI flag > config file (--config) > the default of the
 config dataclass the flag fills.  The dataclasses check every value
-before any pipeline work; a value they reject is a usage error, and so
-are cost parameters under which a simulated time overflows.  A config
+before any pipeline work.  A config
 file is a flat JSON object keyed by flag names with ``_`` for ``-``, read
 as flags placed before the command line: lists are joined by commas,
 ``true`` is the bare flag and ``false`` leaves it out.  An --arch file
@@ -28,15 +30,13 @@ from typing import Optional, Sequence
 
 from .archmodel import ArchFileError, ArchSpec, ElaborationConfig, elaborate, read_arch, write_arch
 from .dagify import depth_width_histogram, orient, to_dot
-from .deploy import (
-    CostOverflowError, CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv,
-)
-from .hypart import build_hypergraph, check_tolerance, partition, write_hmetis, write_partition
+from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate, write_placement, write_trace_csv
+from .hypart import build_hypergraph, check_part_count, partition, write_hmetis, write_partition
 from .randgraph import GeneratorConfig, field_types, generate
 from .score import concurrency_score, write_metrics_csv
 from .sweep import SweepConfig, run_sweep, summarize, write_rows_csv
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 class _Parser(argparse.ArgumentParser):
@@ -81,11 +81,8 @@ def _add_fields(p: argparse.ArgumentParser, cls, names) -> None:
         p.add_argument(flag, dest=name, **kwargs)
 
 def _config(cls, args: argparse.Namespace, names, **nested):
-    """``cls`` from the values set for its fields ``names``; a value it rejects is a usage error."""
-    try:
-        return cls(**{name: getattr(args, name) for name in names if hasattr(args, name)}, **nested)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """``cls`` from the values set for its fields ``names``."""
+    return cls(**{name: getattr(args, name) for name in names if hasattr(args, name)}, **nested)
 
 def _load_arch(args: argparse.Namespace, used=()) -> ArchSpec:
     """The --arch file, or the architecture that the generator and elaboration flags describe.
@@ -111,19 +108,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     d.mkdir(parents=True, exist_ok=True)
     return d
 
-def _check_partition_args(n: int, flag: str, part_counts, eps_values=()) -> None:
-    """Reject part counts and tolerances that ``partition`` refuses on ``n`` vertices."""
-    if not part_counts:
-        raise UsageError(f"{flag} needs at least one value")
-    for k in part_counts:
-        if not 2 <= k <= n:
-            raise UsageError(f"{flag} must be between 2 and {n} (the DAG's vertex count), got {k}")
-    try:
-        for eps in eps_values:
-            check_tolerance(eps)
-    except ValueError as exc:
-        raise UsageError(f"--eps: {exc}") from None
-
 def cmd_gen(args: argparse.Namespace) -> int:
     arch = _load_arch(args)
     dag = arch.dag
@@ -148,23 +132,25 @@ def cmd_score(args: argparse.Namespace) -> int:
     # the unit counts are checked against this DAG, not against a sweep's --n
     grid = _config(SweepConfig, args, ("eps_grid", "weights"))
     units = getattr(args, "units", grid.units)
+    if not units:
+        raise UsageError("--units needs at least one value")
     arch = _load_arch(args, used=("seed",))
-    _check_partition_args(arch.dag.n_vertices, "--units", units)
+    for n in units:  # every unit count is checked before the first partition
+        check_part_count(n, arch.dag.n_vertices)
     out = _out_dir(args)
     name = args.name or "metrics"
     seed = getattr(args, "seed", GeneratorConfig.seed)
     for n in units:
         report = concurrency_score(arch, n, eps_grid=grid.eps_grid, weights=grid.weights, seed=seed)
+        best = report.best  # a CS that overflows is rejected before the file is opened
         path = out / f"{name}_n{n}.csv"
         write_metrics_csv(report, path)
-        best = report.best
         print(f"n={n} best_cs={report.best_cs:.6g} eps={best.eps:g} "
               f"lam={best.lam} eta={report.eta:.6g} wrote {path}")
     return 0
 
 def cmd_partition(args: argparse.Namespace) -> int:
     arch = _load_arch(args, used=("seed",))
-    _check_partition_args(arch.dag.n_vertices, "--parts", (args.parts,), (args.eps,))
     h = build_hypergraph(arch)
     p = partition(h, args.parts, args.eps, seed=getattr(args, "seed", GeneratorConfig.seed))
     out = _out_dir(args)
@@ -181,8 +167,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cost = _config(CostParams, args, COST_FIELDS)
-    if args.units < 1:
-        raise UsageError(f"--units must be at least 1, got {args.units}")
     arch = _load_arch(args)
     gd = group_chains(arch)
     placement = place_greedy(gd, args.units, dedicated_merge_unit=args.dedicated_merge_unit)
@@ -274,7 +258,7 @@ def _config_tokens(path: str) -> list:
     bare flag, ``false`` left out."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -301,13 +285,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command][1](args)
-    except (UsageError, CostOverflowError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ArchFileError, OSError) as exc:
+    except (ArchFileError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
 

@@ -24,9 +24,6 @@ from .randgraph import check_field_types
 
 COMMON_UNIT = -1  # pseudo unit: data replicated everywhere
 
-class CostOverflowError(ValueError):
-    """Cost parameters under which a simulated time is not finite."""
-
 @dataclass(frozen=True)
 class CostParams:
     """Uniform unit and link model.
@@ -225,7 +222,7 @@ def simulate(
     counts and vertex depths) is computed once per ``GroupedDag`` and
     shared by every placement simulated on it.  Cost parameters under
     which the total compute time or the makespan is not finite raise
-    ``CostOverflowError`` naming them.
+    ``ValueError`` naming them.
     """
     if len(placement.unit_of_group) != len(gd.groups):
         raise ValueError("placement does not cover every group")
@@ -236,17 +233,18 @@ def simulate(
     compute = [f / params.flops_per_time for f in gd.arch.vertex_flops]
     total_compute = sum(compute)
     if not total_compute < math.inf:
-        raise CostOverflowError(f"flops_per_time={params.flops_per_time!r} makes the compute times overflow")
+        raise ValueError(f"flops_per_time={params.flops_per_time!r} makes the compute times overflow")
     n_total = placement.n_units + (1 if placement.dedicated_merge_unit else 0)
 
-    # Unit state lives in lists indexed by slot = unit - low, which keeps
-    # the units' order.  The replicated input's slot is never dispatched;
-    # a unit past n_total runs but is left out of unit_busy.
-    unit_of = [placement.unit_of_group[g] for g in gd.group_of]
-    low = min(0, *unit_of)
-    slot = [u - low for u in unit_of]
-    common = COMMON_UNIT - low
-    n_slots = max(n_total, max(unit_of) + 1) - low
+    # Unit state lives in lists indexed by slot: the units the placement
+    # uses, numbered densely in unit order.  The replicated input's slot is
+    # never dispatched; a unit past n_total runs but is left out of unit_busy.
+    units = sorted(set(placement.unit_of_group))
+    slot_of = {u: s for s, u in enumerate(units)}
+    group_slot = [slot_of[u] for u in placement.unit_of_group]
+    slot = [group_slot[g] for g in gd.group_of]
+    common = slot_of.get(COMMON_UNIT, -1)
+    n_slots = len(units)
     ready: List[List[int]] = [[] for _ in range(n_slots)]
     unit_free = [0.0] * n_slots
     busy = [0.0] * n_slots
@@ -296,7 +294,7 @@ def simulate(
                     transfers += 1
                     bytes_moved += nbytes
                     if keep_trace:
-                        trace.append(("transfer", v, w, src + low, dst + low, start, done))
+                        trace.append(("transfer", v, w, units[src], units[dst], start, done))
                     if done > arrival[w]:
                         arrival[w] = done
                 missing[w] -= 1
@@ -317,20 +315,18 @@ def simulate(
             unit_free[s] = finish
             busy[s] += compute[v]
             if keep_trace:
-                trace.append(("compute", v, s + low, now, finish))
+                trace.append(("compute", v, units[s], now, finish))
             push(events, (finish, seq, v))
             seq += 1
 
     if out_time is None:
         raise ValueError("output vertex never completed; dag or placement inconsistent")
     if not out_time < math.inf:
-        raise CostOverflowError(
-            f"bytes_per_time={bandwidth!r} and link_latency={latency!r} make the makespan overflow"
-        )
+        raise ValueError(f"bytes_per_time={bandwidth!r} and link_latency={latency!r} make the makespan overflow")
     return SimResult(
         makespan=out_time,
         speedup_vs_single_unit=(total_compute / out_time) if out_time > 0 else 1.0,
-        unit_busy=tuple(busy[u - low] for u in range(n_total)),
+        unit_busy=tuple(busy[slot_of[u]] if u in slot_of else 0.0 for u in range(n_total)),
         transfers=transfers,
         bytes_moved=bytes_moved,
         trace=tuple(trace),

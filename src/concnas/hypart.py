@@ -538,6 +538,11 @@ def check_tolerance(eps: float) -> None:
     if not 1.0 <= eps < math.inf:
         raise ValueError(f"balance tolerance must be finite and at least 1, got {eps}")
 
+def check_part_count(n_parts: int, n_vertices: int) -> None:
+    """Reject a part count outside 2 to the vertex count."""
+    if not 2 <= n_parts <= n_vertices:
+        raise ValueError(f"part count must be between 2 and {n_vertices} (the vertex count), got {n_parts}")
+
 def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partition:
     """Split vertices into ``n_parts`` non-empty groups, minimizing the
     connectivity metric subject to max part weight <= eps * average.
@@ -551,10 +556,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     starting at the coarsest level whose partition fits (the finest if
     none does), and never increases; ``lam`` is its last entry.
     """
-    if n_parts < 2:
-        raise ValueError(f"need at least two parts, got {n_parts}")
-    if n_parts > h.n_vertices:
-        raise ValueError(f"more parts ({n_parts}) than vertices ({h.n_vertices})")
+    check_part_count(n_parts, h.n_vertices)
     check_tolerance(eps)
 
     total_w = sum(h.vertex_weights)

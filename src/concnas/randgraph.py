@@ -147,17 +147,32 @@ def dp_edge_probability(alpha: float, p: float, beta: float, distance: int) -> f
     """Inclusion probability alpha * p**(beta * d), clamped to 1."""
     return min(1.0, alpha * p ** (beta * distance))
 
-def _coin_edges(us: np.ndarray, vs: np.ndarray, rng: np.random.Generator, probs) -> Tuple[Edge, ...]:
-    """One uniform draw per vertex pair (us[i], vs[i]), in the order of
-    ``np.triu_indices``: lexicographic, u < v.  A pair whose draw is below
-    its probability (``probs``, a scalar or one per pair) is an edge."""
-    keep = rng.random(len(us)) < probs
-    return tuple(zip(us[keep].tolist(), vs[keep].tolist()))
+_CHUNK_PAIRS = 1 << 20
+
+def _coin_edges(n: int, rng: np.random.Generator, prob_by_gap: np.ndarray) -> Tuple[Edge, ...]:
+    """One uniform draw per vertex pair u < v, in the order of
+    ``np.triu_indices(n, 1)``: lexicographic.  A pair whose draw is below
+    ``prob_by_gap[v - u]`` is an edge.
+
+    The pairs are drawn in chunks of whole rows, at most ``_CHUNK_PAIRS``
+    pairs each unless one row holds more, so memory stays bounded as n
+    grows; chunked draws are the same doubles as one draw of them all.
+    """
+    edges: list[Edge] = []
+    start = 0
+    while start < n - 1:
+        stop = min(n - 1, start + max(1, _CHUNK_PAIRS // (n - 1 - start)))
+        # rows start..stop-1 of the upper triangle, as offsets from start
+        us, vs = np.triu_indices(stop - start, 1, n - start)
+        keep = prob_by_gap[vs - us] > rng.random(len(us))  # probabilities first: a lower peak
+        edges.extend(zip((us[keep] + start).tolist(), (vs[keep] + start).tolist()))
+        start = stop
+    return tuple(edges)
 
 def generate_er(n: int, p: float, seed: int) -> UndirectedGraph:
     """Independent coin per vertex pair, probability ``p`` each."""
     cfg = GeneratorConfig(kind="er", n_vertices=n, seed=seed, p=p)
-    edges = _coin_edges(*np.triu_indices(n, 1), substream(seed), p)
+    edges = _coin_edges(n, substream(seed), np.full(n, p))
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def generate_ba(n: int, m: int, seed: int) -> UndirectedGraph:
@@ -246,11 +261,10 @@ def generate_dp(n: int, p: float, alpha: float, beta: float, seed: int) -> Undir
     dominate and the graph splits into locally connected clusters.
     """
     cfg = GeneratorConfig(kind="dp", n_vertices=n, seed=seed, p=p, alpha=alpha, beta=beta)
-    us, vs = np.triu_indices(n, 1)
-    gap = vs - us
     # one probability per ring distance d = min(gap, n - gap), indexed by d
     by_distance = np.array([dp_edge_probability(alpha, p, beta, d) for d in range(n // 2 + 1)])
-    edges = _coin_edges(us, vs, substream(seed), by_distance[np.minimum(gap, n - gap)])
+    gap = np.arange(n)
+    edges = _coin_edges(n, substream(seed), by_distance[np.minimum(gap, n - gap)])
     return UndirectedGraph(n_vertices=n, edges=edges, config=cfg)
 
 def fb_stage_ranges(n: int, stages: int) -> list[tuple[int, int]]:

@@ -46,13 +46,20 @@ def cs_value(
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS,
 ) -> float:
     """Cube root of the weighted product; exactly 0 when lam_norm is 0.
-    The weights are taken as given; ``check_settings`` is their check."""
+    The weights are taken as given; ``check_settings`` is their check.
+    Weights under which the product is not finite raise ``ValueError``."""
     if delta < 0 or lam_norm < 0 or eta < 0:
         raise ValueError("score factors must be non-negative")
     a, b, c = weights
     if lam_norm == 0.0:
         return 0.0
-    return (delta**a * lam_norm**b * eta**c) ** (1.0 / 3.0)
+    try:
+        product = delta**a * lam_norm**b * eta**c
+    except OverflowError:
+        product = math.inf
+    if not product < math.inf:
+        raise ValueError(f"weights {tuple(weights)} make the score of factors {(delta, lam_norm, eta)} overflow")
+    return product ** (1.0 / 3.0)
 
 def check_settings(eps_grid: Sequence[float], weights: Sequence[float]) -> None:
     """Reject a grid or weights the score cannot use: the grid must hold

@@ -256,6 +256,9 @@ def _simulated(tmp_path, capsys, out):
 _UNCHANGED = _edit(lambda doc: None)
 DP = ("--kind", "dp", "--n", "10", "--p", "0.3", "--seed", "1")
 WS = ("--kind", "ws", "--n", "8", "--k", "4", "--p", "0.5", "--units", "3")
+# block maps this large give a vertex-weight total past the hypergraph's 2**53 bound
+HUGE = ("--kind", "er", "--n", "5", "--p", "0.5", "--spatial", "1048576", "--channels", "1048576",
+        "--channel-limit", "1048576")
 
 
 # case: (argv, config file contents, change to a gen output passed as
@@ -288,6 +291,24 @@ CONTRACT = {
         ("sweep", "--samples", "1", "--generators", "er", "--flops-per-time", "1e-320"), None, None, 1,
         "usage error: flops_per_time=1e-320 ",
     ),
+    # weights under which the score's product overflows
+    "weights-overflow-fb": (
+        ("score", "--kind", "fb", "--n", "8", "--k", "2", "--p", "0.5", "--stages", "2", "--weights", "0.5,1e308,1"),
+        None, None, 1, "usage error: weights (0.5, 1e+308, 1.0) ",
+    ),
+    "weights-overflow-er": (
+        ("score", "--kind", "er", "--n", "10", "--p", "0.3", "--units", "2", "--weights", "1e6,1,1"), None, None, 1,
+        "usage error: weights (1000000.0, 1.0, 1.0) ",
+    ),
+    "partition-vertex-weight-2**53": (
+        ("partition", *HUGE), None, None, 1, "usage error: total vertex weight must be below 2**53",
+    ),
+    "score-vertex-weight-2**53": (
+        ("score", *HUGE, "--units", "2"), None, None, 1, "usage error: total vertex weight must be below 2**53",
+    ),
+    # far more units than vertices: the units past the placement's stay idle
+    "simulate-units-3000": (("simulate", "--kind", "er", "--n", "20", "--p", "0.2", "--units", "3000"), None, None, 0,
+                            _simulated),
     "dp-alpha-nan": (("gen", *DP, "--alpha", "nan", "--beta", "1"), None, None, 1, "usage error:"),
     "dp-beta-nan": (("gen", *DP, "--alpha", "1", "--beta", "nan"), None, None, 1, "usage error:"),
     "dp-alpha-inf": (("gen", *DP, "--alpha", "inf", "--beta", "1"), None, None, 1, "usage error:"),
@@ -368,5 +389,16 @@ def test_tolerance_rule_is_one_check(tmp_path, capsys):
     assert len(messages) == 1
     (message,) = messages
     graph = ("--kind", "er", "--n", "4", "--p", "0.5", "--out", str(tmp_path))
-    assert run(capsys, "partition", "--eps", "0.5", *graph) == (1, "", f"usage error: --eps: {message}\n")
+    assert run(capsys, "partition", "--eps", "0.5", *graph) == (1, "", f"usage error: {message}\n")
     assert run(capsys, "score", "--eps", "1.1,0.5", *graph) == (1, "", f"usage error: {message}\n")
+
+
+def test_file_that_is_not_utf8(tmp_path, capsys):
+    """A config file that does not decode is a usage error, and an --arch
+    file that does not decode is an I/O error."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"kind": "er"}')
+    code, _, err = run(capsys, "gen", *ER, "--config", str(bad), "--out", str(tmp_path))
+    assert code == 1 and err.startswith(f"usage error: config file {bad}: "), err
+    code, _, err = run(capsys, "simulate", "--arch", str(bad), "--out", str(tmp_path))
+    assert code == 2 and err.startswith(f"i/o error: {bad}: not an architecture file (UnicodeDecodeError"), err

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,6 @@ from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.deploy import (
     COMMON_UNIT,
-    CostOverflowError,
     CostParams,
     Placement,
     SimResult,
@@ -617,7 +617,7 @@ def test_at_most_three_heap_pushes_per_vertex(monkeypatch):
 @pytest.mark.parametrize("field", ["flops_per_time", "bytes_per_time"])
 def test_overflowing_cost_parameter_is_named(field):
     gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="ws", n_vertices=8, k=4, p=0.5))), seed=0))
-    with pytest.raises(CostOverflowError, match=f"^{field}=1e-320 "):
+    with pytest.raises(ValueError, match=f"^{field}=1e-320 "):
         simulate(gd, place_greedy(gd, 3), CostParams(**{field: 1e-320}))
 
 
@@ -625,3 +625,18 @@ def test_bandwidth_without_transfers_cannot_overflow():
     gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="ws", n_vertices=8, k=4, p=0.5))), seed=0))
     r = simulate(gd, place_greedy(gd, 1), CostParams(bytes_per_time=1e-320))
     assert r == simulate(gd, place_greedy(gd, 1)) and r.transfers == 0
+
+
+def test_unit_state_follows_the_units_used():
+    """Per-unit state is sized by the units a placement uses, not by the
+    largest unit id: 3,000 units on a 22-vertex DAG stay small."""
+    gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=20, p=0.2))), seed=0))
+    p = place_greedy(gd, 3000)
+    tracemalloc.start()
+    try:
+        r = simulate(gd, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(r.unit_busy) == 3000 and sum(r.unit_busy) == pytest.approx(sum(simulate(gd, place_greedy(gd, 1)).unit_busy))

@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from concnas import randgraph
 from concnas.randgraph import (
     GeneratorConfig,
     UndirectedGraph,
@@ -477,3 +479,26 @@ def test_ws_edges_match_reference(n):
         k = rng.randrange(0, min(n, 24), 2)
         p, offset = (0.0, 1.0, 0.75, rng.random())[seed % 4], rng.choice((0, 5))
         assert _ws_edges(n, k, p, reference_stream(seed), offset) == reference_ws_edges(n, k, p, reference_stream(seed), offset)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 37])
+def test_chunked_pair_draws_match_reference(chunk, monkeypatch):
+    """Pair coins drawn in chunks of whole rows are the same doubles, in the
+    same order, as one draw over every pair."""
+    monkeypatch.setattr(randgraph, "_CHUNK_PAIRS", chunk)
+    for n in (2, 7, 41, 120):
+        for seed in range(20):
+            assert generate_er(n, 0.3, seed) == reference_generate_er(n, 0.3, seed)
+            assert generate_dp(n, 0.4, 2.0, 1.5, seed) == reference_generate_dp(n, 0.4, 2.0, 1.5, seed)
+
+
+def test_er_memory_is_bounded_by_chunks():
+    """A 3,000-vertex graph has 4.5 million pairs; drawn in chunks, their
+    arrays never all exist at once."""
+    tracemalloc.start()
+    try:
+        generate_er(3000, 0.001, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -80,6 +80,18 @@ def test_cs_monotone_in_each_factor():
         assert cs_value(delta, lam, eta * 1.5) > base
 
 
+@pytest.mark.parametrize(
+    "factors, weights",
+    [
+        pytest.param((1.5, 25.5, 4.0), (0.5, 1e308, 1.0), id="power-overflows"),
+        pytest.param((1.5, 1e200, 1e200), (1.0, 1.0, 1.0), id="product-overflows"),
+    ],
+)
+def test_cs_rejects_weights_that_overflow(factors, weights):
+    with pytest.raises(ValueError, match=r"^weights \("):
+        cs_value(*factors, weights=weights)
+
+
 def test_cs_custom_weights():
     # with all weights 1 the score is the plain geometric mean
     val = cs_value(2.0, 4.0, 8.0, weights=(1.0, 1.0, 1.0))
