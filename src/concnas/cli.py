@@ -137,12 +137,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     arch = _load_arch(args, used=("seed",))
     for n in units:  # every unit count is checked before the first partition
         check_part_count(n, arch.dag.n_vertices)
+    seed = getattr(args, "seed", GeneratorConfig.seed)
+    reports = [concurrency_score(arch, n, eps_grid=grid.eps_grid, weights=grid.weights, seed=seed) for n in units]
+    # a CS that overflows at any unit count is rejected before the first file is opened
+    bests = [report.best for report in reports]
     out = _out_dir(args)
     name = args.name or "metrics"
-    seed = getattr(args, "seed", GeneratorConfig.seed)
-    for n in units:
-        report = concurrency_score(arch, n, eps_grid=grid.eps_grid, weights=grid.weights, seed=seed)
-        best = report.best  # a CS that overflows is rejected before the file is opened
+    for n, report, best in zip(units, reports, bests):
         path = out / f"{name}_n{n}.csv"
         write_metrics_csv(report, path)
         print(f"n={n} best_cs={report.best_cs:.6g} eps={best.eps:g} "

@@ -96,6 +96,9 @@ class Placement:
 
 @dataclass(frozen=True)
 class SimResult:
+    """``unit_busy`` holds one busy time per unit, ``n_units`` of them plus
+    the dedicated merge unit if there is one, idle units included."""
+
     makespan: float
     speedup_vs_single_unit: float
     unit_busy: Tuple[float, ...]
@@ -157,7 +160,9 @@ def place_greedy(gd: GroupedDag, n_units: int, dedicated_merge_unit: bool = Fals
         raise ValueError(f"need at least one unit, got {n_units}")
     merge_unit = n_units if dedicated_merge_unit else 0
     unit_of = [0] * len(gd.groups)
-    loads = [(0, u) for u in range(n_units)]  # a heap: least load, then lowest unit
+    # a heap: least load, then lowest unit; units past the groups to place
+    # would only tie at load 0 behind a lower index, so they are left out
+    loads = [(0, u) for u in range(max(1, min(n_units, len(gd._lpt_order))))]
     for g in gd._lpt_order:
         load, dest = loads[0]
         unit_of[g] = dest
@@ -182,15 +187,15 @@ def balance_entropy(gd: GroupedDag, placement: Placement) -> float:
         raise ValueError(f"need at least one unit, got {n}")
     if n == 1:
         return 1.0
-    load = [0] * n
+    load: Dict[int, int] = {}  # summed over the units in use only
     for g, unit in enumerate(placement.unit_of_group):
         if 0 <= unit < n:
-            load[unit] += gd.group_weights[g]
-    total = sum(load)
+            load[unit] = load.get(unit, 0) + gd.group_weights[g]
+    total = sum(load.values())
     if total == 0:
         return 1.0
     h = 0.0
-    for w in load:
+    for _, w in sorted(load.items()):
         if w > 0:
             f = w / total
             h -= f * math.log(f)

@@ -8,6 +8,9 @@ over all hyperedges.
 
 ``partition`` is self contained: greedy heavy-connectivity coarsening
 (no coarse vertex outweighs an ideal part unless one fine vertex does),
+then a two-hop pass that pairs the vertices left unmatched which share
+their heaviest neighbour, as METIS does (LaSalle et al. 2015), so the
+leaves of one hub halve at each level instead of joining it one by one;
 three seeded initial assignments at the coarsest level, each rebalanced
 and ranked feasible first, and Fiduccia-Mattheyses refinement
 (single-vertex moves picked by exact gain, tentative chains with rollback
@@ -167,7 +170,8 @@ class _Level:
         self.children: List[Tuple[float, float, Optional[_Level]]] = []
 
 def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], float, float]:
-    """Contract a greedy matching on shared hyperedge weight.
+    """Contract a greedy matching on shared hyperedge weight, extended by
+    two-hop pairs: vertices left unmatched that share a hub.
 
     Returns the contraction (None if no pair matches) and the interval
     ``[lo, hi)`` of weight caps under which every pair-weight test made
@@ -179,21 +183,27 @@ def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], floa
     order = sorted(range(n), key=lambda v: (-vw[v], v))
     matched = 0
     lo, hi = -math.inf, math.inf
+    # the weight each neighbour, matched or not, shares with v over nets of at
+    # most _MATCH_PIN_LIMIT pins; the two-hop pass reads it, as the greedy
+    # pass visits every vertex that it leaves unmatched
+    shared_of: List[Dict[int, int]] = [{} for _ in range(n)]
     for v in order:
         if mate[v] != -1:
             continue
-        shared: Dict[int, int] = {}
+        shared = shared_of[v]
         for e in ve[v]:
             if len(pins[e]) > _MATCH_PIN_LIMIT:
                 continue
             w_e = lam[e]
             for u in pins[e]:
-                if u != v and mate[u] == -1:
+                if u != v:
                     shared[u] = shared.get(u, 0) + w_e
         # the unmatched neighbour within the cap sharing the most weight, ties to the lowest id
         w_v = vw[v]
         best_u, best_s = -1, 0
         for u, s in shared.items():
+            if mate[u] != -1:
+                continue
             pair = w_v + vw[u]
             if pair > weight_cap:
                 hi = min(hi, pair)
@@ -205,6 +215,29 @@ def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], floa
             mate[v] = best_u
             mate[best_u] = v
             matched += 1
+    # two-hop: each vertex still unmatched joins the list of its hub, the
+    # neighbour (matched or not) sharing the most weight with it, ties to
+    # the lowest id; consecutive list members pair within the cap
+    hubs: Dict[int, List[int]] = {}
+    for v in order:
+        shared = shared_of[v]
+        if mate[v] == -1 and shared:
+            hubs.setdefault(min(shared, key=lambda u: (-shared[u], u)), []).append(v)
+    for members in hubs.values():
+        prev = -1
+        for v in members:
+            if prev == -1:
+                prev = v
+                continue
+            pair = vw[prev] + vw[v]
+            if pair > weight_cap:
+                hi = min(hi, pair)
+                prev = v
+            else:
+                lo = max(lo, pair)
+                mate[prev], mate[v] = v, prev
+                matched += 1
+                prev = -1
     if matched == 0:
         return None, lo, hi
     hint = level.hint

@@ -22,8 +22,8 @@ def test_benchmark_selftest_passes():
 # seed-0 digests of each workload's first min_rounds rounds; a change that
 # alters any output of the pipeline changes one of them
 DIGESTS = {
-    "sweep-reference": "044a3ddfad9562b3a6a7fcf76eca9e292551c21f237386530ee5e239a7096a62",
-    "partition-large": "cf4cbe2d2c93a5ce36b7c2b2987bbaa58c4c20bcc50fc336f2c95f4895dc2c6b",
+    "sweep-reference": "4efd299cc4f551287aaf4416a86b7d44e2bb4c84dc0d184725fd9b2f73fe242b",
+    "partition-large": "12d70fa8c2f7d00e0ad33f5c313020bb0257ad44e154869b6f0a69261a464291",
     "simulate-units": "96af0dcf59ccd52e63c54e41da591e312de64894d13304b41faecb73e6d7a220",
 }
 

@@ -131,6 +131,18 @@ def test_score_writes_grid_per_unit_count(tmp_path, capsys):
         assert len(path.read_text().strip().splitlines()) == 3
 
 
+def test_score_writes_nothing_when_a_later_unit_count_fails(tmp_path, capsys):
+    """Every unit count is scored before the first file is written, so a
+    score that overflows at n = 8 leaves no file for n = 2 behind."""
+    code, out, err = run(
+        capsys, "score", "--kind", "er", "--n", "10", "--p", "0.3", "--units", "2,8",
+        "--weights", "1,1,800", "--out", str(tmp_path),
+    )
+    assert code == 1 and err.startswith("usage error: weights (1.0, 1.0, 800.0) "), err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_partition_writes_hmetis_on_request(tmp_path, capsys):
     code, out, _ = run(
         capsys, "partition", "--kind", "er", "--n", "10", "--p", "0.4",

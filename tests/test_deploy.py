@@ -2,8 +2,9 @@
 
 Simulator fixtures are hand-traced schedules over synthetic cost tables;
 the property loops run the real pipeline end to end.  The straightforward
-min-scan placement and event loop below are kept as references: the
-library versions must return equal results on every input.
+min-scan placement, the entropy over one load per unit and the event loop
+below are kept as references: the library versions must return equal
+results on every input.
 """
 
 from __future__ import annotations
@@ -453,6 +454,52 @@ def test_placement_matches_min_scan_reference():
         for n in range(1, 17):
             for dedicated in (False, True):
                 assert place_greedy(gd, n, dedicated) == reference_place_greedy(gd, n, dedicated)
+
+
+def reference_entropy(gd, placement):
+    """Balance entropy over one load per unit, idle units included."""
+    n = placement.n_units
+    load = [0] * n
+    for g, unit in enumerate(placement.unit_of_group):
+        if 0 <= unit < n:
+            load[unit] += gd.group_weights[g]
+    total = sum(load)
+    if n == 1 or total == 0:
+        return 1.0
+    return -sum(w / total * math.log(w / total) for w in load if w > 0) / math.log(n)
+
+
+def test_placement_matches_reference_around_the_group_count():
+    """Unit counts below, at and above the number of groups to place give
+    the full-width reference's placement and entropy."""
+    rng = random.Random(0x6E0C)
+    for i in range(40):
+        dag = orient(random_small_graph(rng, max_n=30))
+        if i % 2:
+            arch = synthetic_arch(dag, [rng.randrange(3) for _ in range(dag.n_vertices)])
+        else:
+            arch = elaborate(dag, seed=rng.randrange(2**32))
+        gd = group_chains(arch)
+        placeable = len(set(range(len(gd.groups))) - {gd.input_group, gd.output_group})
+        for n in sorted({1, placeable - 1, placeable, placeable + 1, 3 * placeable + 7} - {-1, 0}):
+            for dedicated in (False, True):
+                p = place_greedy(gd, n, dedicated)
+                assert p == reference_place_greedy(gd, n, dedicated), (i, n)
+                assert balance_entropy(gd, p) == reference_entropy(gd, p), (i, n)
+
+
+def test_placement_memory_is_bounded_by_groups_not_units():
+    gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=20, p=0.2))), seed=0))
+    tracemalloc.start()
+    try:
+        p = place_greedy(gd, 200_000)
+        entropy = balance_entropy(gd, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    assert p == reference_place_greedy(gd, 200_000)
+    assert 0 < entropy < 1
 
 
 def test_simulation_matches_reference_event_loop():

@@ -11,7 +11,7 @@ import hashlib
 
 from concnas.sweep import SweepConfig, run_sweep, write_rows_csv
 
-GOLDEN_ROWS_SHA256 = "b254c54c2f7fec93dd30b73706534b13bc4a5897455e4b7df3796301cff22d90"
+GOLDEN_ROWS_SHA256 = "0ad026a7815fe9ae2f227631ec6e788b6da8c3d1bb476072569339c7a8b02a4c"
 
 
 def test_small_sweep_rows_match_golden_digest(tmp_path):

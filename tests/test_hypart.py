@@ -750,12 +750,17 @@ def test_tolerance_at_or_above_part_count_admits_every_move():
 
 def reference_match_level(level, weight_cap):
     """Greedy matching on shared hyperedge weight that sorts each vertex's
-    candidates by id and keeps the first with the most shared weight."""
+    candidates by id and keeps the first with the most shared weight, then
+    a two-hop pass: the vertices left unmatched are listed, in the same
+    order, under the neighbour sharing the most weight with them (the
+    first by id), and each list is walked two at a time, keeping the
+    later vertex of a pair over the cap."""
     n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
     ve = level.ve
     mate = [-1] * n
     matched = 0
-    for v in sorted(range(n), key=lambda v: (-vw[v], v)):
+    order = sorted(range(n), key=lambda v: (-vw[v], v))
+    for v in order:
         if mate[v] != -1:
             continue
         shared = {}
@@ -775,6 +780,26 @@ def reference_match_level(level, weight_cap):
             mate[v] = best_u
             mate[best_u] = v
             matched += 1
+    lists = {}
+    for v in [v for v in order if mate[v] == -1]:
+        weight = {}
+        for e in ve[v]:
+            if len(pins[e]) <= hypart._MATCH_PIN_LIMIT:
+                for u in set(pins[e]) - {v}:
+                    weight[u] = weight.get(u, 0) + lam[e]
+        if weight:
+            top = max(weight.values())
+            hub = sorted(u for u, s in weight.items() if s == top)[0]
+            lists.setdefault(hub, []).append(v)
+    for members in lists.values():
+        waiting = None
+        for v in members:
+            if waiting is not None and vw[waiting] + vw[v] <= weight_cap:
+                mate[v], mate[waiting] = waiting, v
+                matched += 1
+                waiting = None
+            else:
+                waiting = v
     if matched == 0:
         return None
     hint = level.hint
@@ -850,3 +875,21 @@ def test_coarsen_shared_across_part_counts_matches_reference():
                         b.n, b.pins, b.lam, b.vw, b.hint, b.fine_map
                     ), (h, k)
     hypart._coarsen.cache_clear()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_star_of_leaves_coarsens_in_logarithmically_many_levels(k):
+    # the dp shape: an input feeds 64 leaves over one net too large to
+    # match on, and every leaf feeds the hub alone
+    leaves = range(1, 65)
+    hub = 65
+    n = hub + 1
+    pins = ((0, *leaves),) + tuple((v, hub) for v in leaves)
+    assert len(pins[0]) > hypart._MATCH_PIN_LIMIT
+    h = Hypergraph(n, pins, (1000,) * len(pins), (1,) * n)
+    hypart._coarsen.cache_clear()
+    levels = hypart._hierarchy(h, k, n // k)
+    hypart._coarsen.cache_clear()
+    sizes = [level.n for level in levels]
+    assert len(levels) <= math.log2(n) + 2, sizes
+    assert all(a - b > 1 for a, b in zip(sizes, sizes[1:])), sizes
