@@ -6,11 +6,12 @@ a feature map sent to several parts is charged once per extra part: the
 objective is the connectivity metric  sum_j lam_j * (parts_touched_j - 1)
 over all hyperedges.
 
-``partition`` is self contained: greedy heavy-connectivity coarsening
-(no coarse vertex outweighs an ideal part unless one fine vertex does),
-then a two-hop pass that pairs the vertices left unmatched which share
-their heaviest neighbour, as METIS does (LaSalle et al. 2015), so the
-leaves of one hub halve at each level instead of joining it one by one;
+``partition`` is self contained: greedy coarsening on a heavy-edge rating
+to which every hyperedge e adds ``w(e) / (|e| - 1)`` per pair of its pins,
+as in PaToH and KaHyPar (no coarse vertex outweighs an ideal part unless
+one fine vertex does), then a two-hop pass that pairs the vertices left
+unmatched which share their best-rated neighbour, as METIS does (LaSalle
+et al. 2015), so the leaves of one hub halve at each level;
 three seeded initial assignments at the coarsest level, each rebalanced
 and ranked feasible first, and Fiduccia-Mattheyses refinement
 (single-vertex moves picked by exact gain, tentative chains with rollback
@@ -53,7 +54,6 @@ from .rng import KEY_PARTITION, substream
 
 _MAX_PASSES = 20
 _START_PASSES = 4  # refinement passes given to each initial candidate
-_MATCH_PIN_LIMIT = 8  # huge nets say little about affinity; skip them when matching
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -170,35 +170,34 @@ class _Level:
         self.children: List[Tuple[float, float, Optional[_Level]]] = []
 
 def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], float, float]:
-    """Contract a greedy matching on shared hyperedge weight, extended by
-    two-hop pairs: vertices left unmatched that share a hub.
+    """Contract a greedy matching on the rating that every net e, of any
+    size, adds to each pair of its pins, ``lam[e] / (|e| - 1)``, extended
+    by two-hop pairs: vertices left unmatched that share a hub.
 
     Returns the contraction (None if no pair matches) and the interval
     ``[lo, hi)`` of weight caps under which every pair-weight test made
     here comes out the same, so any cap in it gives the same contraction.
     """
-    n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
-    ve = level.ve
+    n, pins, lam, vw, ve = level.n, level.pins, level.lam, level.vw, level.ve
+    rate = [w_e / max(len(pin) - 1, 1) for pin, w_e in zip(pins, lam)]  # a one-pin net's rating is never read
     mate = [-1] * n
     order = sorted(range(n), key=lambda v: (-vw[v], v))
     matched = 0
     lo, hi = -math.inf, math.inf
-    # the weight each neighbour, matched or not, shares with v over nets of at
-    # most _MATCH_PIN_LIMIT pins; the two-hop pass reads it, as the greedy
-    # pass visits every vertex that it leaves unmatched
-    shared_of: List[Dict[int, int]] = [{} for _ in range(n)]
+    # the rating of v with each neighbour, matched or not, summed in ve[v]
+    # order; the two-hop pass reads it, as the greedy pass visits every
+    # vertex that it leaves unmatched
+    shared_of: List[Dict[int, float]] = [{} for _ in range(n)]
     for v in order:
         if mate[v] != -1:
             continue
         shared = shared_of[v]
         for e in ve[v]:
-            if len(pins[e]) > _MATCH_PIN_LIMIT:
-                continue
-            w_e = lam[e]
+            r_e = rate[e]
             for u in pins[e]:
                 if u != v:
-                    shared[u] = shared.get(u, 0) + w_e
-        # the unmatched neighbour within the cap sharing the most weight, ties to the lowest id
+                    shared[u] = shared.get(u, 0) + r_e
+        # the unmatched neighbour within the cap with the highest rating, ties to the lowest id
         w_v = vw[v]
         best_u, best_s = -1, 0
         for u, s in shared.items():
@@ -212,12 +211,11 @@ def _match_level(level: _Level, weight_cap: int) -> Tuple[Optional[_Level], floa
             if s > best_s or (s == best_s and u < best_u):
                 best_u, best_s = u, s
         if best_u != -1:
-            mate[v] = best_u
-            mate[best_u] = v
+            mate[v], mate[best_u] = best_u, v
             matched += 1
     # two-hop: each vertex still unmatched joins the list of its hub, the
-    # neighbour (matched or not) sharing the most weight with it, ties to
-    # the lowest id; consecutive list members pair within the cap
+    # neighbour (matched or not) with the highest rating, ties to the
+    # lowest id; consecutive list members pair within the cap
     hubs: Dict[int, List[int]] = {}
     for v in order:
         shared = shared_of[v]

@@ -22,8 +22,8 @@ def test_benchmark_selftest_passes():
 # seed-0 digests of each workload's first min_rounds rounds; a change that
 # alters any output of the pipeline changes one of them
 DIGESTS = {
-    "sweep-reference": "4efd299cc4f551287aaf4416a86b7d44e2bb4c84dc0d184725fd9b2f73fe242b",
-    "partition-large": "12d70fa8c2f7d00e0ad33f5c313020bb0257ad44e154869b6f0a69261a464291",
+    "sweep-reference": "7d3604b76c08ce552031ab8f72b1d3a8bbeec7018ee05b2517341a5e5b84260a",
+    "partition-large": "981942cb3a5f90ae57fa84dafb664ce86d0f89416fbc776f91b55249d0a0fe50",
     "simulate-units": "96af0dcf59ccd52e63c54e41da591e312de64894d13304b41faecb73e6d7a220",
 }
 

@@ -11,7 +11,7 @@ import hashlib
 
 from concnas.sweep import SweepConfig, run_sweep, write_rows_csv
 
-GOLDEN_ROWS_SHA256 = "0ad026a7815fe9ae2f227631ec6e788b6da8c3d1bb476072569339c7a8b02a4c"
+GOLDEN_ROWS_SHA256 = "3947cf4b738e7e8e9a913efe953af94666d19932c2d825f5cfc586558a01f75c"
 
 
 def test_small_sweep_rows_match_golden_digest(tmp_path):

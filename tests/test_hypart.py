@@ -590,9 +590,11 @@ def random_weighted_hypergraph(rng, max_n, min_n=3):
     )
 
 
-def sweep_hypergraph(kind, index):
-    """The hypergraph a reference-sweep sample partitions."""
-    cfg = SweepConfig()
+def sweep_hypergraph(kind, index, n_vertices=40):
+    """The hypergraph a reference-sweep sample partitions; at 120 vertices,
+    the one that benchmark workload partition-large partitions in round
+    ``index`` at seed 0."""
+    cfg = SweepConfig(n_vertices=n_vertices)
     seed = sample_seed(cfg.master_seed, index)
     dag = orient(generate(generator_config(cfg, kind, seed)))
     return build_hypergraph(elaborate(dag, cfg.elaboration, seed))
@@ -749,14 +751,20 @@ def test_tolerance_at_or_above_part_count_admits_every_move():
 
 
 def reference_match_level(level, weight_cap):
-    """Greedy matching on shared hyperedge weight that sorts each vertex's
-    candidates by id and keeps the first with the most shared weight, then
-    a two-hop pass: the vertices left unmatched are listed, in the same
-    order, under the neighbour sharing the most weight with them (the
+    """Greedy matching on the heavy-edge rating, where each hyperedge e of
+    two pins or more adds ``lam[e] / (|e| - 1)`` to each pair of its pins,
+    summed over a vertex's hyperedges in ``ve`` order.  It sorts each
+    vertex's candidates by id and keeps the first with the highest rating,
+    then a two-hop pass: the vertices left unmatched are listed, in the
+    same order, under the neighbour of highest rating with them (the
     first by id), and each list is walked two at a time, keeping the
     later vertex of a pair over the cap."""
     n, pins, lam, vw = level.n, level.pins, level.lam, level.vw
     ve = level.ve
+
+    def rating(e):
+        return lam[e] / (len(pins[e]) - 1)
+
     mate = [-1] * n
     matched = 0
     order = sorted(range(n), key=lambda v: (-vw[v], v))
@@ -765,11 +773,9 @@ def reference_match_level(level, weight_cap):
             continue
         shared = {}
         for e in ve[v]:
-            if len(pins[e]) > hypart._MATCH_PIN_LIMIT:
-                continue
             for u in pins[e]:
                 if u != v and mate[u] == -1:
-                    shared[u] = shared.get(u, 0) + lam[e]
+                    shared[u] = shared.get(u, 0) + rating(e)
         best_u, best_s = -1, 0
         for u, s in sorted(shared.items()):
             if vw[v] + vw[u] > weight_cap:
@@ -784,9 +790,8 @@ def reference_match_level(level, weight_cap):
     for v in [v for v in order if mate[v] == -1]:
         weight = {}
         for e in ve[v]:
-            if len(pins[e]) <= hypart._MATCH_PIN_LIMIT:
-                for u in set(pins[e]) - {v}:
-                    weight[u] = weight.get(u, 0) + lam[e]
+            for u in set(pins[e]) - {v}:
+                weight[u] = weight.get(u, 0) + rating(e)
         if weight:
             top = max(weight.values())
             hub = sorted(u for u, s in weight.items() if s == top)[0]
@@ -860,6 +865,9 @@ def test_coarsen_shared_across_part_counts_matches_reference():
     graphs += [light_vertex_hypergraph(rng) for _ in range(100)]
     cfg = SweepConfig()
     graphs += [sweep_hypergraph(kind, index) for kind in cfg.generators for index in range(3)]
+    # partition-large's shape: half of er's nets span more than 8 pins, and
+    # dp's input net most vertices; the 40-vertex sweep graphs rarely do
+    graphs += [sweep_hypergraph(kind, index, 120) for kind in ("er", "dp") for index in range(2)]
     for h in graphs:
         ks = list(range(2, min(h.n_vertices, 16) + 1))
         for _ in range(2):
@@ -877,19 +885,42 @@ def test_coarsen_shared_across_part_counts_matches_reference():
     hypart._coarsen.cache_clear()
 
 
+def hierarchy_sizes(h, k):
+    """Vertex counts of ``h``'s coarsening hierarchy for ``k`` parts, built fresh."""
+    hypart._coarsen.cache_clear()
+    levels = hypart._hierarchy(h, k, sum(h.vertex_weights) // k)
+    hypart._coarsen.cache_clear()
+    return [level.n for level in levels]
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_star_of_leaves_coarsens_in_logarithmically_many_levels(k):
-    # the dp shape: an input feeds 64 leaves over one net too large to
-    # match on, and every leaf feeds the hub alone
+    # the dp shape: an input feeds 64 leaves over one net that rates each
+    # pair of them low, and every leaf feeds the hub alone
     leaves = range(1, 65)
     hub = 65
     n = hub + 1
     pins = ((0, *leaves),) + tuple((v, hub) for v in leaves)
-    assert len(pins[0]) > hypart._MATCH_PIN_LIMIT
     h = Hypergraph(n, pins, (1000,) * len(pins), (1,) * n)
-    hypart._coarsen.cache_clear()
-    levels = hypart._hierarchy(h, k, n // k)
-    hypart._coarsen.cache_clear()
-    sizes = [level.n for level in levels]
-    assert len(levels) <= math.log2(n) + 2, sizes
+    sizes = hierarchy_sizes(h, k)
+    assert len(sizes) <= math.log2(n) + 2, sizes
     assert all(a - b > 1 for a, b in zip(sizes, sizes[1:])), sizes
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_large_nets_coarsen_in_logarithmically_many_levels(k):
+    # the er shape at 120 vertices: every net spans 10 pins, a window of
+    # consecutive ids, so each pair of neighbours shares several nets
+    n = 64
+    pins = tuple(tuple(sorted((s + i) % n for i in range(10))) for s in range(0, n, 3))
+    h = Hypergraph(n, pins, (1000,) * len(pins), (1,) * n)
+    sizes = hierarchy_sizes(h, k)
+    assert sizes[-1] <= 12, sizes
+    assert len(sizes) <= math.log2(n) + 2, sizes
+
+
+def test_one_pin_net_is_not_rated():
+    # a one-pin net shares no pair, so coarsening must not divide by |e| - 1 = 0 on it
+    chain = chain_hypergraph(20, lam=5)
+    h = Hypergraph(20, chain.pins + ((0,),), chain.weights + (5,), chain.vertex_weights)
+    assert partition(h, 2, 1.1).lam == 5
