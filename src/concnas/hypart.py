@@ -13,9 +13,13 @@ one fine vertex does), then a two-hop pass that pairs the vertices left
 unmatched which share their best-rated neighbour, as METIS does (LaSalle
 et al. 2015), so the leaves of one hub halve at each level;
 three seeded initial assignments at the coarsest level, each rebalanced
-and ranked feasible first, and Fiduccia-Mattheyses refinement
-(single-vertex moves picked by exact gain, tentative chains with rollback
-to the best prefix, at most 20 passes per level).  The balance cap is
+and ranked feasible first, then by connectivity, and Fiduccia-Mattheyses
+refinement (single-vertex moves picked by exact gain, tentative chains
+with rollback to the best prefix, at most 20 passes per level).  Starts
+are refined before the ranking only on a hypergraph that does not
+coarsen; otherwise they are ranked as rebalanced, and the winner's
+refinement is the coarsest level's own, since the refinement at each
+finer level does the real work (Karypis et al. 1999).  The balance cap is
 hard: refinement never fills a part past it, and projection keeps part
 weights, so a partition that fits stays within the cap.  Vertex weights
 are non-negative integers, and ``partition`` computes the cap once, as
@@ -53,7 +57,7 @@ from .randgraph import check_field_types
 from .rng import KEY_PARTITION, substream
 
 _MAX_PASSES = 20
-_START_PASSES = 4  # refinement passes given to each initial candidate
+_START_PASSES = 4  # passes given to each start before ranking, on a hypergraph that does not coarsen
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -600,6 +604,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     finest = levels[0]
 
     coarsest = levels[-1]
+    coarsened = len(levels) > 1
     candidates = [
         _initial_contiguous(coarsest, n_parts),
         _initial_lpt(coarsest, n_parts),
@@ -608,18 +613,22 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     starts = []
     for cparts in candidates:
         tables = _rebalance(coarsest, cparts, n_parts, cap)
-        hist = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)
+        if coarsened:
+            # ranked as rebalanced; the winner's refinement is the coarsest level's own, below
+            hist = [tables[3]]
+        else:
+            hist = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)
+            tables = None  # refined in place, so stale
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        starts.append(((heaviest > cap, hist[-1], heaviest), cparts, hist))
+        starts.append(((heaviest > cap, hist[-1], heaviest), cparts, hist, tables))
     # feasible first, then the least connectivity, ties to the earlier start
-    _, best_parts, best_hist = min(starts, key=lambda start: start[0])
+    _, best_parts, best_hist, tables = min(starts, key=lambda start: start[0])
 
     # Coarse vertices pack worse than fine ones.  A start still over the cap
     # is projected and rebalanced level by level until it fits, and
     # refinement (which never fills a part past the cap) starts there.
     parts = best_parts
     start = len(levels) - 1
-    tables = None
     while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap:
         parts = [parts[c] for c in levels[start].fine_map]
         start -= 1
@@ -635,7 +644,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     for idx in range(start, -1, -1):
         if idx < start:
             parts = [parts[c] for c in levels[idx + 1].fine_map]
-        elif idx == len(levels) - 1 and len(best_hist) <= _START_PASSES:
+        elif not coarsened and len(best_hist) <= _START_PASSES:
             # the start's own refinement ended on a pass without gain, and
             # the same pass from the same state would gain nothing again
             history.append(best_hist[-1])

@@ -22,8 +22,8 @@ def test_benchmark_selftest_passes():
 # seed-0 digests of each workload's first min_rounds rounds; a change that
 # alters any output of the pipeline changes one of them
 DIGESTS = {
-    "sweep-reference": "7d3604b76c08ce552031ab8f72b1d3a8bbeec7018ee05b2517341a5e5b84260a",
-    "partition-large": "981942cb3a5f90ae57fa84dafb664ce86d0f89416fbc776f91b55249d0a0fe50",
+    "sweep-reference": "419e49092fcafae155fc5740dd684f770569641e53a80e372a2cdf780166f882",
+    "partition-large": "04e1840f6aee23a7da41141bc44cc71ea9ac328e6656b3dc0eb3f42f873dd191",
     "simulate-units": "96af0dcf59ccd52e63c54e41da591e312de64894d13304b41faecb73e6d7a220",
 }
 

@@ -11,7 +11,7 @@ import hashlib
 
 from concnas.sweep import SweepConfig, run_sweep, write_rows_csv
 
-GOLDEN_ROWS_SHA256 = "3947cf4b738e7e8e9a913efe953af94666d19932c2d825f5cfc586558a01f75c"
+GOLDEN_ROWS_SHA256 = "3aefa5f0b37a6624f078e17a2ab53954cecea812b5656c269a64df90109bc377"
 
 
 def test_small_sweep_rows_match_golden_digest(tmp_path):
