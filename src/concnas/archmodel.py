@@ -196,28 +196,17 @@ def elaborate(dag: ArchDag, config: ElaborationConfig = ElaborationConfig(), see
         c_u = max(c for _, c in shapes)
         pools = tuple(_pool_steps(s, s_u) for s, _ in shapes)
         proj = tuple(c_u if c < c_u else 0 for _, c in shapes)
-        if kind in (KIND_OUTPUT, KIND_MERGE):
-            zeros = (0,) * len(shapes)
-            if kind == KIND_OUTPUT:
-                blocks[v] = BlockSpec(kind, s_u, c_u, False, s_u, c_u, shapes, zeros, zeros)
-            else:
-                blocks[v] = BlockSpec(kind, s_u, c_u, False, s_u, c_u, shapes, pools, proj)
-            continue
-        eligible = 2 * c_u <= config.channel_limit
-        if config.staging == "greedy":
-            want = eligible
-        elif config.staging == "uniform":
-            want = False
-        else:
-            want = eligible and substream(seed, KEY_STAGING, v).random() < config.staging_prob
-        feasible = s_u % 2 == 0
-        staged = eligible and want and feasible
-        if eligible and want and not feasible:
-            suppressed += 1
-        if staged:
-            blocks[v] = BlockSpec(kind, s_u // 2, 2 * c_u, True, s_u, c_u, shapes, pools, proj)
-        else:
-            blocks[v] = BlockSpec(kind, s_u, c_u, False, s_u, c_u, shapes, pools, proj)
+        if kind == KIND_OUTPUT:
+            pools = proj = (0,) * len(shapes)
+        # only a block with channel room is eligible, and only its coin is drawn
+        want = (
+            kind == KIND_BLOCK and 2 * c_u <= config.channel_limit and config.staging != "uniform"
+            and (config.staging == "greedy" or substream(seed, KEY_STAGING, v).random() < config.staging_prob)
+        )
+        staged = want and s_u % 2 == 0
+        suppressed += want and not staged
+        scale = 2 if staged else 1
+        blocks[v] = BlockSpec(kind, s_u // scale, c_u * scale, staged, s_u, c_u, shapes, pools, proj)
 
     done = tuple(blocks)  # type: ignore[arg-type]
     return ArchSpec(

@@ -36,12 +36,9 @@ from .randgraph import GeneratorConfig, field_types, generate
 from .score import concurrency_score, write_metrics_csv
 from .sweep import SweepConfig, run_sweep, summarize, write_rows_csv
 
-class UsageError(ValueError):
-    pass
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
-        raise UsageError(message)
+        raise ValueError(message)
 
 def _csv(cast):
     def csv_list(text: str) -> tuple:
@@ -95,11 +92,11 @@ def _load_arch(args: argparse.Namespace, used=()) -> ArchSpec:
         ignored = [_flag(name) for name in GENERATOR_FIELDS + SHAPE_FIELDS + STAGING_FIELDS
                    if name not in used and hasattr(args, name)]
         if ignored:
-            raise UsageError(f"--arch fixes the architecture, so {', '.join(ignored)} would be ignored")
+            raise ValueError(f"--arch fixes the architecture, so {', '.join(ignored)} would be ignored")
         return read_arch(args.arch)
     elab = _config(ElaborationConfig, args, SHAPE_FIELDS + STAGING_FIELDS)
     if not hasattr(args, "kind"):
-        raise UsageError("--kind (or an --arch file) is required")
+        raise ValueError("--kind (or an --arch file) is required")
     gen = _config(GeneratorConfig, args, GENERATOR_FIELDS)
     return elaborate(orient(generate(gen)), elab, gen.seed)
 
@@ -133,7 +130,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     grid = _config(SweepConfig, args, ("eps_grid", "weights"))
     units = getattr(args, "units", grid.units)
     if not units:
-        raise UsageError("--units needs at least one value")
+        raise ValueError("--units needs at least one value")
     arch = _load_arch(args, used=("seed",))
     for n in units:  # every unit count is checked before the first partition
         check_part_count(n, arch.dag.n_vertices)
@@ -260,9 +257,9 @@ def _config_tokens(path: str) -> list:
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise UsageError(f"config file {path}: {exc}") from exc
+        raise ValueError(f"config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise UsageError(f"config file {path}: expected a JSON object")
+        raise ValueError(f"config file {path}: expected a JSON object")
     tokens = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
@@ -275,7 +272,7 @@ def _config_tokens(path: str) -> list:
 def _parse(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command is None:
-        raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
+        raise ValueError(f"a subcommand is required ({', '.join(_COMMANDS)})")
     if args.config is None:
         return args
     # the config's values go first, so the command line wins

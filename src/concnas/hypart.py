@@ -604,7 +604,6 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     finest = levels[0]
 
     coarsest = levels[-1]
-    coarsened = len(levels) > 1
     candidates = [
         _initial_contiguous(coarsest, n_parts),
         _initial_lpt(coarsest, n_parts),
@@ -613,21 +612,20 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     starts = []
     for cparts in candidates:
         tables = _rebalance(coarsest, cparts, n_parts, cap)
-        if coarsened:
-            # ranked as rebalanced; the winner's refinement is the coarsest level's own, below
-            hist = [tables[3]]
-        else:
-            hist = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)
+        lam = tables[3]
+        if len(levels) == 1:
+            # no finer level follows to do the real work, so each start is
+            # refined before the ranking; otherwise it is ranked as rebalanced
+            lam = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)[-1]
             tables = None  # refined in place, so stale
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        starts.append(((heaviest > cap, hist[-1], heaviest), cparts, hist, tables))
+        starts.append(((heaviest > cap, lam, heaviest), cparts, tables))
     # feasible first, then the least connectivity, ties to the earlier start
-    _, best_parts, best_hist, tables = min(starts, key=lambda start: start[0])
+    _, parts, tables = min(starts, key=lambda start: start[0])
 
     # Coarse vertices pack worse than fine ones.  A start still over the cap
     # is projected and rebalanced level by level until it fits, and
     # refinement (which never fills a part past the cap) starts there.
-    parts = best_parts
     start = len(levels) - 1
     while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap:
         parts = [parts[c] for c in levels[start].fine_map]
@@ -644,12 +642,8 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     for idx in range(start, -1, -1):
         if idx < start:
             parts = [parts[c] for c in levels[idx + 1].fine_map]
-        elif not coarsened and len(best_hist) <= _START_PASSES:
-            # the start's own refinement ended on a pass without gain, and
-            # the same pass from the same state would gain nothing again
-            history.append(best_hist[-1])
-            continue
-        history.extend(_refine(levels[idx], parts, n_parts, cap, tables=tables if idx == start else None))
+        history.extend(_refine(levels[idx], parts, n_parts, cap, tables=tables))
+        tables = None
 
     imbalance = load_imbalance(h, parts, n_parts)
     best_effort = total_w > 0 and imbalance > eps * (1 + 1e-12)

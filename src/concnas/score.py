@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 from .archmodel import ArchSpec
 from .dagify import ArchDag
-from .hypart import Hypergraph, Partition, build_hypergraph, check_tolerance, partition
+from .hypart import Partition, build_hypergraph, check_tolerance, partition
 from .rng import KEY_PARTITION, derived_seed
 
 DEFAULT_EPS_GRID = (1.05, 1.10, 1.20, 1.35, 1.50)
@@ -111,17 +111,16 @@ def concurrency_score(
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     weights: Tuple[float, float, float] = DEFAULT_WEIGHTS,
     seed: int = 0,
-    hypergraph: Hypergraph | None = None,
 ) -> MetricsReport:
     """Score ``arch`` on ``n_units``; the reported CS is the minimum over
     the feasible grid points, or over the whole grid if none is feasible.
 
-    ``eps_grid`` and ``weights`` must pass ``check_settings``.  A prebuilt
-    ``hypergraph`` may be passed to amortize repeated scoring of one
-    architecture at several unit counts.
+    ``eps_grid`` and ``weights`` must pass ``check_settings``.  Scoring
+    one architecture at several unit counts rebuilds an equal hypergraph,
+    so the partitioner's cached coarsening levels are shared.
     """
     check_settings(eps_grid, weights)
-    h = hypergraph if hypergraph is not None else build_hypergraph(arch)
+    h = build_hypergraph(arch)
     return MetricsReport(
         n_units=n_units,
         eta=overlap_ratio(arch.dag, n_units),

@@ -19,7 +19,6 @@ from typing import Dict, List, Sequence, Tuple
 from .archmodel import ElaborationConfig, elaborate
 from .dagify import orient
 from .deploy import CostParams, balance_entropy, group_chains, place_greedy, simulate
-from .hypart import build_hypergraph
 from .randgraph import GeneratorConfig, check_field_types, generate
 from .rng import sample_seed
 from .score import DEFAULT_EPS_GRID, DEFAULT_WEIGHTS, check_settings, concurrency_score
@@ -96,11 +95,10 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
     dag = orient(graph)
     arch = elaborate(dag, cfg.elaboration, seed)
     params_greedy = elaborate(dag, replace(cfg.elaboration, staging="greedy"), seed).total_params
-    h = build_hypergraph(arch)
     gd = group_chains(arch)
     rows = []
     for n in cfg.units:
-        report = concurrency_score(arch, n, cfg.eps_grid, cfg.weights, seed=seed, hypergraph=h)
+        report = concurrency_score(arch, n, cfg.eps_grid, cfg.weights, seed=seed)
         best = report.best
         placement = place_greedy(gd, n)
         sim = simulate(gd, placement, cfg.cost)
@@ -132,17 +130,14 @@ def run_sample(cfg: SweepConfig, kind: str, index: int) -> List[Dict]:
         )
     return rows
 
-def _run_task(args: Tuple[SweepConfig, str, int]) -> List[Dict]:
-    return run_sample(*args)
-
 def run_sweep(cfg: SweepConfig) -> List[Dict]:
     """Rows for the whole grid, ordered by (generator, sample, units)."""
     tasks = [(cfg, kind, i) for kind in cfg.generators for i in range(cfg.samples)]
     if cfg.workers > 1:
         with Pool(cfg.workers) as pool:
-            chunks = pool.map(_run_task, tasks, chunksize=8)
+            chunks = pool.starmap(run_sample, tasks, chunksize=8)
     else:
-        chunks = [_run_task(t) for t in tasks]
+        chunks = [run_sample(*t) for t in tasks]
     rows: List[Dict] = []
     for chunk in chunks:
         rows.extend(chunk)

@@ -242,7 +242,7 @@ def test_criterion_4_score_ordering(reference_sweep, verdict):
     # Not asserted: fb being worst by CS.  The score rewards chains (a pure
     # 40-block path scores 1.49 at 4 units, below every generator's mean)
     # and fb's merge vertices are cheap cut points.  On this sweep fb has
-    # the lowest mean CS of all five at 4 units (3.87, dp 4.21) and ranks
+    # the lowest mean CS of all five at 4 units (3.86, dp 4.15) and ranks
     # third of five at 8 and 10 units (see README).  Its lack of
     # concurrency shows in eta and in latency.
     for n in UNIT_COUNTS:

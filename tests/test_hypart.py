@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from concnas import hypart
+from concnas import hypart, sweep
 from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.hypart import (
@@ -344,15 +344,19 @@ def test_quality_against_exhaustive_bipartition():
 
 # sha256 of repr([(parts, lam), ...]) over acceptance criterion 1's 200 instances
 SINGLE_LEVEL_SHA256 = "01fc7da202c276151acebbcad523d8064c0b83699e9fb41ae9748755fbcb363c"
+SINGLE_LEVEL_HISTORY_SHA256 = "cd7ccdcb01723e5ea275740eb9f63fb6c334e2900d78f11eaa23038ab3f7ea7e"
 
 
 def test_single_level_outputs_pinned():
     """Acceptance criterion 1's instances (the same draws, at most 10
     vertices) never coarsen, so their starts are refined before ranking,
     and their outputs are pinned: a change to the start phase that would
-    move criterion 1's verdict fails here first."""
+    move criterion 1's verdict fails here first.  Each ``lam_history`` is
+    pinned too, so a change to where refinement resumes after the starts
+    shows here even when the partitions do not move."""
     rng = random.Random(101)
     outputs = []
+    histories = []
     while len(outputs) < 200:
         h = random_hypergraph(rng)
         if best_bipartition(h, 1.5) is None:
@@ -360,7 +364,9 @@ def test_single_level_outputs_pinned():
         assert len(hypart._hierarchy(h, 2, max(sum(h.vertex_weights) // 2, max(h.vertex_weights)))) == 1
         p = partition(h, 2, 1.5, seed=rng.randrange(2**32))
         outputs.append((p.parts, p.lam))
+        histories.append(p.lam_history)
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == SINGLE_LEVEL_SHA256
+    assert hashlib.sha256(repr(histories).encode()).hexdigest() == SINGLE_LEVEL_HISTORY_SHA256
 
 
 def test_hmetis_export_golden(tmp_path):
@@ -741,6 +747,30 @@ def test_partition_kernel_calls_bounded(monkeypatch):
                     partition(h, n_parts, eps, seed=i)
     assert calls["_tables"] <= 1662, calls
     assert calls["_refine"] <= 473, calls
+
+
+def test_score_path_reuses_hierarchies(monkeypatch):
+    """``concurrency_score`` builds the hypergraph afresh at each unit
+    count, and the rebuilt, equal hypergraph must find the levels that
+    ``_coarsen``'s cache holds for it.  The bound is the count with that
+    reuse; if an equal hypergraph missed the cache, each unit count would
+    coarsen again."""
+    calls = 0
+    match_level = hypart._match_level
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return match_level(*args)
+
+    monkeypatch.setattr(hypart, "_match_level", counted)
+    hypart._coarsen.cache_clear()
+    cfg = SweepConfig()
+    for kind in cfg.generators:
+        for index in range(2):
+            sweep.run_sample(cfg, kind, index)
+    hypart._coarsen.cache_clear()
+    assert calls <= 51
 
 
 def test_partition_matches_reference_refiner(monkeypatch):

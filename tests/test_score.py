@@ -243,7 +243,7 @@ def test_best_is_the_chosen_partition():
     """The report keeps each grid point's partition as ``partition`` returns it."""
     arch = elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=10, p=0.3, seed=1))), seed=1)
     h = build_hypergraph(arch)
-    r = concurrency_score(arch, 4, seed=7, hypergraph=h)
+    r = concurrency_score(arch, 4, seed=7)
     for i, eps in enumerate(DEFAULT_EPS_GRID):
         assert r.partitions[i] == partition(h, 4, eps, seed=derived_seed(7, KEY_PARTITION, i))
     assert isinstance(r.best, Partition)
