@@ -23,6 +23,7 @@ from .archmodel import ArchSpec
 from .randgraph import check_field_types
 
 COMMON_UNIT = -1  # pseudo unit: data replicated everywhere
+MAX_UNITS = 10**6  # most units simulate takes: SimResult.unit_busy keeps one float per unit
 
 @dataclass(frozen=True)
 class CostParams:
@@ -227,8 +228,11 @@ def simulate(
     counts and vertex depths) is computed once per ``GroupedDag`` and
     shared by every placement simulated on it.  Cost parameters under
     which the total compute time or the makespan is not finite raise
-    ``ValueError`` naming them.
+    ``ValueError`` naming them, as does a placement on more than
+    ``MAX_UNITS`` units, before anything is allocated.
     """
+    if placement.n_units > MAX_UNITS:
+        raise ValueError(f"simulate takes at most {MAX_UNITS} units, got {placement.n_units}")
     if len(placement.unit_of_group) != len(gd.groups):
         raise ValueError("placement does not cover every group")
     succ, n_pred, ready_key = gd._sim_plan
@@ -337,22 +341,18 @@ def simulate(
         trace=tuple(trace),
     )
 
-def grouped_to_dict(gd: GroupedDag, placement: Optional[Placement] = None) -> dict:
+def write_placement(gd: GroupedDag, placement: Placement, path: str | Path) -> None:
     doc = {
         "groups": [list(g) for g in gd.groups],
         "group_weights": list(gd.group_weights),
         "group_edges": [list(e) for e in gd.group_edges],
         "input_group": gd.input_group,
         "output_group": gd.output_group,
+        "unit_of_group": list(placement.unit_of_group),
+        "n_units": placement.n_units,
+        "merge_unit": placement.merge_unit,
     }
-    if placement is not None:
-        doc["unit_of_group"] = list(placement.unit_of_group)
-        doc["n_units"] = placement.n_units
-        doc["merge_unit"] = placement.merge_unit
-    return doc
-
-def write_placement(gd: GroupedDag, placement: Placement, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(grouped_to_dict(gd, placement), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 def write_trace_csv(result: SimResult, path: str | Path) -> None:
     """Event rows: computes with unit and span, transfers with link and span."""

@@ -33,9 +33,10 @@ matching's weight tests agree.  Every move, rebalancing or refining,
 reads one gain state: FM's part counts and push and pull tables.  One
 numpy kernel, ``_tables``, derives them from the partition, exactly in
 float64 while the total hyperedge weight is below 2**53, and ``_move``
-keeps them on critical counts only.  The kernel runs in each rebalance,
-whose tables the refinement of its level takes, at the start of any
-other refinement, and after each pass that gained.
+keeps them between calls: other rows on critical counts only, the
+mover's own row in O(1).  The kernel runs in each rebalance, whose tables
+the refinement of its level takes, at the start of any other refinement,
+and after each pass that gained.
 """
 
 from __future__ import annotations
@@ -274,13 +275,9 @@ def _initial_contiguous(level: _Level, n_parts: int) -> List[int]:
     cum = 0
     part = 0
     for i, v in enumerate(order):
-        remaining_vertices = level.n - i
-        remaining_parts = n_parts - part
-        if part < n_parts - 1:
-            over = cum >= (part + 1) * total / n_parts
-            must_advance = remaining_vertices <= remaining_parts - 1
-            if (over and remaining_vertices > remaining_parts - 1) or must_advance:
-                part += 1
+        # advance once this part holds its share, or when each part left needs one of the vertices left
+        if part < n_parts - 1 and (cum >= (part + 1) * total / n_parts or level.n - i < n_parts - part):
+            part += 1
         parts[v] = part
         cum += level.vw[v]
     return parts
@@ -338,14 +335,18 @@ def _tables(level: _Level, parts: Sequence[int], n_parts: int) -> _Gains:
 
 def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=None, q_room=-1) -> int:
     """Move v to part q, with its part weights, sizes and pin counts, and
-    return the change in connectivity.  The rows of vertices not ``locked``
-    change only on hyperedges where a count crosses a critical value
-    (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
-    target count rises from 0 or 1.  The caller locks v first.  A push into
-    q that drops lowers ``min_push`` of a vertex weighing at most
-    ``q_room``; the default -1 fits none."""
+    return the change in connectivity.  The rows of other vertices not
+    ``locked`` change only on hyperedges where a count crosses a critical
+    value (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
+    target count rises from 0 or 1.  v's own row is set from its values
+    before the move: its push into p becomes its pull, its pull its push
+    into q, and its pushes into other parts stand, as those counts do not
+    change.  A push into q that drops lowers ``min_push`` of a vertex
+    weighing at most ``q_room``; the default -1 fits none."""
     pins, lam, vw = level.pins, level.lam, level.vw
     p = parts[v]
+    row_v, pull_v = push[v], pull[v]
+    push_vq = row_v[q]
     parts[v] = q
     pw[p] -= vw[v]
     pw[q] += vw[v]
@@ -386,6 +387,7 @@ def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=No
                     if not locked[u]:
                         pull[u] -= w_e
                     break
+    row_v[p], row_v[q], pull[v] = pull_v, _OWN_PART, push_vq
     return delta
 
 def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gains:
@@ -393,10 +395,10 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gain
     loss ``push[v][q] - pull[v]`` first (ties to the lowest vertex, then
     part), into parts that stay within ``cap``, until every part fits or
     no such move is left.  Returns what ``_tables`` gives for the final
-    ``parts``, for ``_refine`` to start from.  Feasible parts only gain
-    weight up to ``cap``, so each vertex moves at most once; its row is
-    rebuilt once the moves are done."""
-    n, lam, vw, ve = level.n, level.lam, level.vw, level.ve
+    ``parts``, for ``_refine`` to start from: nothing is locked, so
+    ``_move`` keeps every row, the mover's included.  Feasible parts only
+    gain weight up to ``cap``, so each vertex moves at most once."""
+    n, vw = level.n, level.vw
     pw = _loads(vw, parts, n_parts)
     psize = list(map(parts.count, range(n_parts)))
     counts, push, pull, connectivity = _tables(level, parts, n_parts)
@@ -415,14 +417,7 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gain
         if best is None:
             break
         _, v, q = best
-        locked[v] = 1
         connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull, locked)
-    for v in range(n):
-        if locked[v]:
-            r = parts[v]
-            push[v] = [sum(lam[e] for e in ve[v] if counts[e][t] == 0) for t in range(n_parts)]
-            push[v][r] = _OWN_PART
-            pull[v] = sum(lam[e] for e in ve[v] if counts[e][r] == 1)
     return counts, push, pull, connectivity
 
 def _refine(
@@ -601,8 +596,6 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     cap = max(math.floor(min(eps * total_w / n_parts, total_w)), max_vw)
     # coarse vertices weigh at most an ideal part: the same for every tolerance
     levels = _hierarchy(h, n_parts, max(total_w // n_parts, max_vw))
-    finest = levels[0]
-
     coarsest = levels[-1]
     candidates = [
         _initial_contiguous(coarsest, n_parts),
@@ -623,30 +616,29 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     # feasible first, then the least connectivity, ties to the earlier start
     _, parts, tables = min(starts, key=lambda start: start[0])
 
-    # Coarse vertices pack worse than fine ones.  A start still over the cap
-    # is projected and rebalanced level by level until it fits, and
-    # refinement (which never fills a part past the cap) starts there.
-    start = len(levels) - 1
-    while start > 0 and max(_loads(levels[start].vw, parts, n_parts)) > cap:
-        parts = [parts[c] for c in levels[start].fine_map]
-        start -= 1
-        tables = _rebalance(levels[start], parts, n_parts, cap)
-    if start == 0 and max(_loads(finest.vw, parts, n_parts)) > cap:
-        # greedy packing of the fine vertices is the fallback, so the result
-        # fits whenever that packing does
-        lpt = _initial_lpt(finest, n_parts)
-        if max(_loads(finest.vw, lpt, n_parts)) <= cap:
-            parts, tables = lpt, None
-
+    # One walk, coarsest level first.  Coarse vertices pack worse than fine
+    # ones, so until a level fits, its projection is rebalanced and skipped
+    # if still over the cap; the finest falls back to greedy packing, so the
+    # result fits whenever that packing does.  Refinement never breaks a fit.
     history: List[int] = []
-    for idx in range(start, -1, -1):
-        if idx < start:
+    for idx in range(len(levels) - 1, -1, -1):
+        level = levels[idx]
+        if level is not coarsest:
             parts = [parts[c] for c in levels[idx + 1].fine_map]
-        history.extend(_refine(levels[idx], parts, n_parts, cap, tables=tables))
+            if not history:
+                tables = _rebalance(level, parts, n_parts, cap)
+        if not history and max(_loads(level.vw, parts, n_parts)) > cap:
+            if idx:
+                continue
+            lpt = _initial_lpt(level, n_parts)
+            if max(_loads(level.vw, lpt, n_parts)) <= cap:
+                parts, tables = lpt, None
+        history.extend(_refine(level, parts, n_parts, cap, tables=tables))
         tables = None
 
     imbalance = load_imbalance(h, parts, n_parts)
-    best_effort = total_w > 0 and imbalance > eps * (1 + 1e-12)
+    # load_imbalance is 1.0 at zero total weight, never over a tolerance
+    best_effort = imbalance > eps * (1 + 1e-12)
     return Partition(tuple(parts), n_parts, eps, history[-1], imbalance, best_effort, tuple(history))
 
 def write_hmetis(h: Hypergraph, path: str | Path) -> None:

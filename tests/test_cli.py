@@ -321,6 +321,11 @@ CONTRACT = {
     # far more units than vertices: the units past the placement's stay idle
     "simulate-units-3000": (("simulate", "--kind", "er", "--n", "20", "--p", "0.2", "--units", "3000"), None, None, 0,
                             _simulated),
+    # one past the simulator's unit limit: rejected before unit_busy is built
+    "simulate-units-1000001": (
+        ("simulate", "--kind", "er", "--n", "20", "--p", "0.2", "--units", "1000001"), None, None, 1,
+        "usage error: simulate takes at most 1000000 units, got 1000001",
+    ),
     "dp-alpha-nan": (("gen", *DP, "--alpha", "nan", "--beta", "1"), None, None, 1, "usage error:"),
     "dp-beta-nan": (("gen", *DP, "--alpha", "1", "--beta", "nan"), None, None, 1, "usage error:"),
     "dp-alpha-inf": (("gen", *DP, "--alpha", "inf", "--beta", "1"), None, None, 1, "usage error:"),

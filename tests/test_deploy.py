@@ -10,6 +10,7 @@ results on every input.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import random
 import tracemalloc
@@ -22,6 +23,7 @@ from concnas.archmodel import ElaborationConfig, elaborate
 from concnas.dagify import orient
 from concnas.deploy import (
     COMMON_UNIT,
+    MAX_UNITS,
     CostParams,
     Placement,
     SimResult,
@@ -428,7 +430,16 @@ def test_trace_and_placement_export(tmp_path):
 
     ppath = tmp_path / "placement.json"
     write_placement(gd, p, ppath)
-    assert "unit_of_group" in ppath.read_text()
+    assert json.loads(ppath.read_text()) == {
+        "group_edges": [[0, 2, 65536], [1, 0, 65536]],
+        "group_weights": [1900544, 0, 0],
+        "groups": [[0, 1, 2, 3], [4], [5]],
+        "input_group": 1,
+        "merge_unit": 0,
+        "n_units": 2,
+        "output_group": 2,
+        "unit_of_group": [0, -1, 0],
+    }
 
 
 def test_deterministic_replay():
@@ -687,3 +698,18 @@ def test_unit_state_follows_the_units_used():
         tracemalloc.stop()
     assert peak < 2**20
     assert len(r.unit_busy) == 3000 and sum(r.unit_busy) == pytest.approx(sum(simulate(gd, place_greedy(gd, 1)).unit_busy))
+
+
+def test_simulate_rejects_more_units_than_the_limit():
+    """``SimResult.unit_busy`` keeps one float per unit, so a unit count
+    past ``MAX_UNITS`` is rejected before anything is allocated."""
+    gd = group_chains(elaborate(orient(generate(GeneratorConfig(kind="er", n_vertices=20, p=0.2))), seed=0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most {MAX_UNITS} units, got {MAX_UNITS + 1}"):
+            simulate(gd, place_greedy(gd, MAX_UNITS + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(simulate(gd, place_greedy(gd, MAX_UNITS)).unit_busy) == MAX_UNITS

@@ -30,6 +30,7 @@ from concnas.hypart import (
     _STALL_LIMIT,
     Hypergraph,
     _Level,
+    _move,
     _rebalance,
     _refine,
     _tables,
@@ -714,6 +715,31 @@ def test_rebalance_matches_reference_on_random_levels():
     assert moved > 300
 
 
+def test_move_keeps_every_row_exact():
+    """With nothing locked, ``_move`` keeps every row, the mover's own
+    included, equal to a fresh build of the tables, and its summed deltas
+    equal to the connectivity; ``_rebalance`` hands its tables on without
+    a rebuild, so it relies on this."""
+    rng = random.Random(0x30E5)
+    for _ in range(300):
+        h = random_weighted_hypergraph(rng, 40)
+        n = h.n_vertices
+        level = _Level(n, [list(p) for p in h.pins], list(h.weights), list(h.vertex_weights), list(range(n)))
+        n_parts = rng.randrange(2, min(n, 8) + 1)
+        parts = [rng.randrange(n_parts) for _ in range(n)]
+        pw = part_weights(h, parts, n_parts)
+        psize = list(map(parts.count, range(n_parts)))
+        counts, push, pull, connectivity = _tables(level, parts, n_parts)
+        locked = bytearray(n)
+        for _ in range(rng.randrange(1, 6)):
+            v = rng.randrange(n)
+            q = rng.choice([t for t in range(n_parts) if t != parts[v]])
+            connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull, locked)
+            # repr also tells an int from an equal float
+            assert repr((counts, push, pull, connectivity)) == repr(reference_tables(level, parts, n_parts)), (h, v, q)
+            assert pw == part_weights(h, parts, n_parts) and psize == list(map(parts.count, range(n_parts)))
+
+
 def test_partition_kernel_calls_bounded(monkeypatch):
     """The gain-table kernel runs about 50 us a call, a fixed numpy cost; a
     change that adds a call per rebalance (or per pass) shows up here as
@@ -773,6 +799,10 @@ def test_score_path_reuses_hierarchies(monkeypatch):
     assert calls <= 51
 
 
+# sha256 of repr([(parts, lam_history), ...]) over the 380 cases below
+MULTILEVEL_HISTORY_SHA256 = "7f35d3e1d2072f9472dd2892642c44b2c2579342138ff52f947685c51b9414c2"
+
+
 def test_partition_matches_reference_refiner(monkeypatch):
     rng = random.Random(0x5EF2)
     cases = []
@@ -789,6 +819,7 @@ def test_partition_matches_reference_refiner(monkeypatch):
                 for eps in cfg.eps_grid:
                     cases.append((h, n_parts, eps, rng.randrange(2**32)))
     got = [partition(*case) for case in cases]
+    assert hashlib.sha256(repr([(p.parts, p.lam_history) for p in got]).encode()).hexdigest() == MULTILEVEL_HISTORY_SHA256
     # _refine returns its history alone, whose last entry is the oracle's lam;
     # the oracle builds its own tables, so the ones _rebalance hands on are dropped
     monkeypatch.setattr(
