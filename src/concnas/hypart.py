@@ -33,10 +33,11 @@ matching's weight tests agree.  Every move, rebalancing or refining,
 reads one gain state: FM's part counts and push and pull tables.  One
 numpy kernel, ``_tables``, derives them from the partition, exactly in
 float64 while the total hyperedge weight is below 2**53, and ``_move``
-keeps them between calls: other rows on critical counts only, the
-mover's own row in O(1).  The kernel runs in each rebalance, whose tables
-the refinement of its level takes, at the start of any other refinement,
-and after each pass that gained.
+keeps them exact after every move, with no stale rows: other rows on
+critical counts only, the mover's own row in O(1).  Refinement undoes
+the moves past a pass's best prefix with ``_move`` too, so the kernel
+runs once per rebalance, whose tables the refinement of its level takes,
+and at the start of any other refinement.
 """
 
 from __future__ import annotations
@@ -333,11 +334,12 @@ def _tables(level: _Level, parts: Sequence[int], n_parts: int) -> _Gains:
     connectivity = (n_parts - 1) * sum(level.lam) - sum(map(mul, level.lam, absent.sum(axis=1).tolist()))
     return counts.astype(np.int64).tolist(), push, pull, connectivity
 
-def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=None, q_room=-1) -> int:
+def _move(level, v, q, parts, pw, psize, counts, push, pull, min_push=None, q_room=-1) -> int:
     """Move v to part q, with its part weights, sizes and pin counts, and
-    return the change in connectivity.  The rows of other vertices not
-    ``locked`` change only on hyperedges where a count crosses a critical
-    value (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
+    return the change in connectivity.  Afterwards the counts, push rows
+    and pulls are exact for every vertex.  The rows of other vertices
+    change only on hyperedges where a count crosses a critical value
+    (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
     target count rises from 0 or 1.  v's own row is set from its values
     before the move: its push into p becomes its pull, its pull its push
     into q, and its pushes into other parts stand, as those counts do not
@@ -365,27 +367,23 @@ def _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push=No
         if cp_old == 1:
             delta -= w_e
             for u in pins[e]:
-                if not locked[u]:
-                    push[u][p] += w_e
+                push[u][p] += w_e
         elif cp_old == 2:
             for u in pins[e]:
                 if parts[u] == p:
-                    if not locked[u]:
-                        pull[u] += w_e
+                    pull[u] += w_e
                     break
         if cq_old == 0:
             delta += w_e
             for u in pins[e]:
-                if not locked[u]:
-                    row = push[u]
-                    row[q] -= w_e
-                    if vw[u] <= q_room and row[q] < min_push[u]:
-                        min_push[u] = row[q]
+                row = push[u]
+                row[q] -= w_e
+                if vw[u] <= q_room and row[q] < min_push[u]:
+                    min_push[u] = row[q]
         elif cq_old == 1:
             for u in pins[e]:
                 if u != v and parts[u] == q:
-                    if not locked[u]:
-                        pull[u] -= w_e
+                    pull[u] -= w_e
                     break
     row_v[p], row_v[q], pull[v] = pull_v, _OWN_PART, push_vq
     return delta
@@ -395,14 +393,13 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gain
     loss ``push[v][q] - pull[v]`` first (ties to the lowest vertex, then
     part), into parts that stay within ``cap``, until every part fits or
     no such move is left.  Returns what ``_tables`` gives for the final
-    ``parts``, for ``_refine`` to start from: nothing is locked, so
-    ``_move`` keeps every row, the mover's included.  Feasible parts only
-    gain weight up to ``cap``, so each vertex moves at most once."""
+    ``parts``, for ``_refine`` to start from, as ``_move`` keeps every row
+    exact.  Feasible parts only gain weight up to ``cap``, so each vertex
+    moves at most once."""
     n, vw = level.n, level.vw
     pw = _loads(vw, parts, n_parts)
     psize = list(map(parts.count, range(n_parts)))
     counts, push, pull, connectivity = _tables(level, parts, n_parts)
-    locked = bytearray(n)
     while max(pw) > cap:
         best = None
         for v in range(n):
@@ -417,7 +414,7 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gain
         if best is None:
             break
         _, v, q = best
-        connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull, locked)
+        connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull)
     return counts, push, pull, connectivity
 
 def _refine(
@@ -431,10 +428,9 @@ def _refine(
     Move gains are kept as pull (edges where the vertex is alone in its
     part) minus push (edges absent from the target part), with the part
     counts: ``tables`` if handed in for these ``parts`` (``_rebalance``
-    does), else ``_tables``'s, and ``_tables``'s again after each pass
-    that gained, once the moves past the best prefix are undone.  Within
-    a pass ``_move`` keeps them; locked vertices' rows are left stale,
-    since no later move of the pass reads them.
+    does), else ``_tables``'s.  ``_move`` keeps them exact through every
+    pass, the moves past the best prefix included, which it undoes in
+    reverse order, so on return they are the tables of ``parts``.
 
     Each move takes the highest gain among targets within the cap, ties
     to the lowest vertex and then the lowest part.  A vertex is scanned
@@ -454,15 +450,12 @@ def _refine(
     history = [cur_lam]
     neg_inf = -(1 << 62)
 
-    for pass_no in range(max_passes):
-        if pass_no:
-            counts, push, pull, _ = _tables(level, parts, n_parts)
+    for _ in range(max_passes):
         # lower bound on each row's min push over the parts that vertex fits
         # in; stale-low is safe for pruning
         min_push = list(map(min, push))
-        locked = bytearray(n)
-        free = list(range(n))  # unlocked vertices, ascending
-        moves: List[Tuple[int, int, int]] = []
+        free = list(range(n))  # vertices not yet moved in this pass, ascending
+        moves: List[Tuple[int, int]] = []
         pass_lam = cur_lam
         best_idx = -1
         best_lam = cur_lam
@@ -489,18 +482,17 @@ def _refine(
                 break
             v, q = pick_v, pick_q
             free.remove(v)
-            locked[v] = 1
             p = parts[v]
             w_v = vw[v]
             p_room = cap - pw[p]
             q_room = cap - pw[q] - w_v  # heaviest vertex that fits in q after the move
-            pass_lam += _move(level, v, q, parts, pw, psize, counts, push, pull, locked, min_push, q_room)
+            pass_lam += _move(level, v, q, parts, pw, psize, counts, push, pull, min_push, q_room)
             if max_w > p_room:
                 # vertices weighing (p_room, p_room + w_v] fit in p only now
                 for u in by_weight[bisect_right(sorted_w, p_room):bisect_right(sorted_w, p_room + w_v)]:
                     if push[u][p] < min_push[u]:
                         min_push[u] = push[u][p]
-            moves.append((v, p, q))
+            moves.append((v, p))
             if pass_lam < best_lam:
                 best_lam = pass_lam
                 best_idx = len(moves) - 1
@@ -509,12 +501,8 @@ def _refine(
                 since_best += 1
                 if since_best >= _STALL_LIMIT:
                     break
-        for v, p, q in moves[best_idx + 1:]:
-            parts[v] = p
-            pw[q] -= vw[v]
-            pw[p] += vw[v]
-            psize[q] -= 1
-            psize[p] += 1
+        for v, p in reversed(moves[best_idx + 1:]):
+            _move(level, v, p, parts, pw, psize, counts, push, pull)
         if best_idx == -1:
             break
         cur_lam = best_lam
@@ -610,7 +598,7 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
             # no finer level follows to do the real work, so each start is
             # refined before the ranking; otherwise it is ranked as rebalanced
             lam = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)[-1]
-            tables = None  # refined in place, so stale
+            tables = (*tables[:3], lam)  # refined in place
         heaviest = max(_loads(coarsest.vw, cparts, n_parts))
         starts.append(((heaviest > cap, lam, heaviest), cparts, tables))
     # feasible first, then the least connectivity, ties to the earlier start

@@ -348,22 +348,31 @@ SINGLE_LEVEL_SHA256 = "01fc7da202c276151acebbcad523d8064c0b83699e9fb41ae9748755f
 SINGLE_LEVEL_HISTORY_SHA256 = "cd7ccdcb01723e5ea275740eb9f63fb6c334e2900d78f11eaa23038ab3f7ea7e"
 
 
-def test_single_level_outputs_pinned():
-    """Acceptance criterion 1's instances (the same draws, at most 10
-    vertices) never coarsen, so their starts are refined before ranking,
-    and their outputs are pinned: a change to the start phase that would
-    move criterion 1's verdict fails here first.  Each ``lam_history`` is
-    pinned too, so a change to where refinement resumes after the starts
-    shows here even when the partitions do not move."""
+def single_level_cases():
+    """Acceptance criterion 1's 200 instances (the same draws, at most 10
+    vertices), as ``partition`` arguments at k = 2 and eps 1.5."""
     rng = random.Random(101)
-    outputs = []
-    histories = []
-    while len(outputs) < 200:
+    cases = []
+    while len(cases) < 200:
         h = random_hypergraph(rng)
         if best_bipartition(h, 1.5) is None:
             continue
-        assert len(hypart._hierarchy(h, 2, max(sum(h.vertex_weights) // 2, max(h.vertex_weights)))) == 1
-        p = partition(h, 2, 1.5, seed=rng.randrange(2**32))
+        cases.append((h, 2, 1.5, rng.randrange(2**32)))
+    return cases
+
+
+def test_single_level_outputs_pinned():
+    """Acceptance criterion 1's instances never coarsen, so their starts
+    are refined before ranking, and their outputs are pinned: a change to
+    the start phase that would move criterion 1's verdict fails here
+    first.  Each ``lam_history`` is pinned too, so a change to where
+    refinement resumes after the starts shows here even when the
+    partitions do not move."""
+    outputs = []
+    histories = []
+    for h, n_parts, eps, seed in single_level_cases():
+        assert len(hypart._hierarchy(h, n_parts, max(sum(h.vertex_weights) // n_parts, max(h.vertex_weights)))) == 1
+        p = partition(h, n_parts, eps, seed=seed)
         outputs.append((p.parts, p.lam))
         histories.append(p.lam_history)
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == SINGLE_LEVEL_SHA256
@@ -658,9 +667,12 @@ def test_refine_matches_reference_on_random_levels():
             passes = rng.choice(pass_choices)
             ref_parts, new_parts = list(parts), list(parts)
             lam, history = reference_refine(level, ref_parts, n_parts, cap, passes)
-            assert _refine(level, new_parts, n_parts, cap, passes) == history, (h, parts, cap)
+            tables = _tables(level, new_parts, n_parts)
+            assert _refine(level, new_parts, n_parts, cap, passes, tables=tables) == history, (h, parts, cap)
             assert history[-1] == lam
             assert new_parts == ref_parts
+            # refined in place, the tables are those of the returned parts
+            assert repr(tables[:3]) == repr(reference_tables(level, new_parts, n_parts)[:3]), (h, parts, cap)
 
 
 def test_tables_match_reference_on_random_levels():
@@ -716,10 +728,11 @@ def test_rebalance_matches_reference_on_random_levels():
 
 
 def test_move_keeps_every_row_exact():
-    """With nothing locked, ``_move`` keeps every row, the mover's own
-    included, equal to a fresh build of the tables, and its summed deltas
-    equal to the connectivity; ``_rebalance`` hands its tables on without
-    a rebuild, so it relies on this."""
+    """``_move`` keeps every row, the mover's own included, equal to a
+    fresh build of the tables, and its summed deltas equal to the
+    connectivity; ``_rebalance`` hands its tables on without a rebuild,
+    and ``_refine`` undoes moves and starts each pass without one, so
+    both rely on this."""
     rng = random.Random(0x30E5)
     for _ in range(300):
         h = random_weighted_hypergraph(rng, 40)
@@ -730,11 +743,10 @@ def test_move_keeps_every_row_exact():
         pw = part_weights(h, parts, n_parts)
         psize = list(map(parts.count, range(n_parts)))
         counts, push, pull, connectivity = _tables(level, parts, n_parts)
-        locked = bytearray(n)
         for _ in range(rng.randrange(1, 6)):
             v = rng.randrange(n)
             q = rng.choice([t for t in range(n_parts) if t != parts[v]])
-            connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull, locked)
+            connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull)
             # repr also tells an int from an equal float
             assert repr((counts, push, pull, connectivity)) == repr(reference_tables(level, parts, n_parts)), (h, v, q)
             assert pw == part_weights(h, parts, n_parts) and psize == list(map(parts.count, range(n_parts)))
@@ -744,13 +756,19 @@ def test_partition_kernel_calls_bounded(monkeypatch):
     """The gain-table kernel runs about 50 us a call, a fixed numpy cost; a
     change that adds a call per rebalance (or per pass) shows up here as
     a count, before it shows up as time.  The bound is the count with
-    ``_refine`` taking the tables that ``_rebalance`` hands it; without
-    that hand-off each rebalance adds a call (1,840 here).
+    ``_refine`` taking the tables that ``_rebalance`` hands it and keeping
+    them exact through every pass; rebuilding them at the start of each
+    pass after the first makes 1,662 calls here.
 
     ``_refine`` calls are bounded too: where a finer level follows, only
     the winning coarsest-level start is refined.  Refining every start
     first, as a hypergraph that does not coarsen still does, makes 975
-    calls here."""
+    calls here.
+
+    On a hypergraph that does not coarsen, each start's rebalance runs the
+    kernel once, and its refinements, the winner's last one included, take
+    those tables on: 3 calls per partition.  Only the finest-level LPT
+    fallback, for a winning start over the cap, would add a fourth."""
     calls = {"_tables": 0, "_refine": 0}
 
     def counting(name):
@@ -771,8 +789,15 @@ def test_partition_kernel_calls_bounded(monkeypatch):
             for n_parts in cfg.units:
                 for i, eps in enumerate(cfg.eps_grid):
                     partition(h, n_parts, eps, seed=i)
-    assert calls["_tables"] <= 1662, calls
+    assert calls["_tables"] <= 1082, calls
     assert calls["_refine"] <= 473, calls
+
+    per_partition = []
+    for case in single_level_cases():
+        before = calls["_tables"]
+        partition(*case)
+        per_partition.append(calls["_tables"] - before)
+    assert per_partition == [3] * 200, per_partition
 
 
 def test_score_path_reuses_hierarchies(monkeypatch):
