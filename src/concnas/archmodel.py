@@ -67,6 +67,8 @@ class ElaborationConfig:
             raise ValueError(f"unknown staging mode: {self.staging!r}")
         if not 0.0 <= self.staging_prob <= 1.0:
             raise ValueError(f"staging probability outside [0, 1]: {self.staging_prob}")
+        if self.bytes_per_element < 1:
+            raise ValueError(f"bytes per element must be at least 1, got {self.bytes_per_element}")
 
 @dataclass(frozen=True)
 class BlockSpec:

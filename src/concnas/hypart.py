@@ -29,15 +29,14 @@ in.  Results are deterministic for a fixed seed.
 
 Coarsening levels are cached per hypergraph, and a level is shared by
 every part count whose weight cap lies in the interval over which its
-matching's weight tests agree.  Every move, rebalancing or refining,
-reads one gain state: FM's part counts and push and pull tables.  One
-numpy kernel, ``_tables``, derives them from the partition, exactly in
-float64 while the total hyperedge weight is below 2**53, and ``_move``
-keeps them exact after every move, with no stale rows: other rows on
-critical counts only, the mover's own row in O(1).  Refinement undoes
-the moves past a pass's best prefix with ``_move`` too, so the kernel
-runs once per rebalance, whose tables the refinement of its level takes,
-and at the start of any other refinement.
+matching's weight tests agree.  A level's partition is one state,
+``_Gains``: parts, part weights and sizes, FM's pin counts, push and
+pull tables, and the connectivity.  A numpy kernel builds it for each
+start and each projection to a finer level, exactly in float64 while the
+total hyperedge weight is below 2**53.  ``_move`` keeps every field
+exact after every move, rebalancing, refining or undoing a pass's tail,
+with no stale rows: other rows on critical counts only, the mover's own
+row in O(1).
 """
 
 from __future__ import annotations
@@ -74,6 +73,8 @@ class Hypergraph:
             raise ValueError("one weight per hyperedge required")
         if len(self.vertex_weights) != self.n_vertices:
             raise ValueError("one weight per vertex required")
+        if self.order_hint is not None and len(self.order_hint) != self.n_vertices:
+            raise ValueError("one order hint per vertex required")
         # the partitioner computes its integer cap from the vertex-weight
         # total, and sums hyperedge weights, in float64, exact only below 2**53
         check_field_types(self)
@@ -140,16 +141,20 @@ def _loads(vw: Sequence[int], parts: Sequence[int], n_parts: int) -> List[int]:
     return pw
 
 def part_weights(h: Hypergraph, parts: Sequence[int], n_parts: int) -> List[int]:
+    """Weight of each part; every vertex needs a part id in ``[0, n_parts)``."""
+    if len(parts) != h.n_vertices:
+        raise ValueError("partition vector length mismatch")
+    if h.n_vertices and not 0 <= min(parts) <= max(parts) < n_parts:
+        raise ValueError(f"part ids must lie in [0, {n_parts}), got {min(parts)} to {max(parts)}")
     return _loads(h.vertex_weights, parts, n_parts)
 
 def load_imbalance(h: Hypergraph, parts: Sequence[int], n_parts: int) -> float:
     """Heaviest part weight over the ideal share; 1.0 for zero total weight."""
-    if len(parts) != h.n_vertices:
-        raise ValueError("partition vector length mismatch")
-    total = sum(h.vertex_weights)
+    pw = part_weights(h, parts, n_parts)
+    total = sum(pw)
     if total == 0:
         return 1.0
-    return max(part_weights(h, parts, n_parts)) * n_parts / total
+    return max(pw) * n_parts / total
 
 class _Level:
     """One coarsening level, shared between calls: read only, apart from
@@ -309,35 +314,40 @@ def _initial_random(level: _Level, n_parts: int, seed: int) -> List[int]:
 _STALL_LIMIT = 10  # tentative moves allowed past the best prefix before a pass aborts
 _OWN_PART = 1 << 63  # push entry of a vertex's own part, so min_push bounds real targets
 
-# one gain state: part counts per hyperedge, push rows, pull, connectivity
-_Gains = Tuple[List[List[int]], List[List[int]], List[int], int]
+class _Gains:
+    """One partition of a level and its gain state, all exact: ``parts``
+    (held, not copied); ``pw`` and ``psize``, each part's weight and
+    vertex count; ``counts[e][t]``, the pins of hyperedge e in part t;
+    ``push[v][t]``, the weight of v's hyperedges with no pin in part t
+    (``_OWN_PART`` on v's own part); ``pull[v]``, the weight of v's
+    hyperedges where v is its part's only pin; ``lam``, the connectivity.
 
-def _tables(level: _Level, parts: Sequence[int], n_parts: int) -> _Gains:
-    """Gain tables of ``parts``: ``counts[e][t]``, the pins of hyperedge e
-    in part t; ``push[v][t]``, the weight of v's hyperedges with no pin in
-    part t (``_OWN_PART`` on v's own part); ``pull[v]``, the weight of v's
-    hyperedges where v is its part's only pin; and the connectivity.
-
-    Matrix products over the level's incidence matrix, widened to float64
-    per call.  Every partial sum is a pin count or a sum of distinct
-    hyperedge weights, an integer below 2**53, so float64 holds it exactly.
+    Built by matrix products over the level's incidence matrix, widened
+    to float64 per build: every partial sum is a pin count or a sum of
+    distinct hyperedge weights, an integer below 2**53, so exact.
     """
-    inc = level.incidence.astype(np.float64)
-    lam = np.array(level.lam, dtype=np.float64)[:, None]
-    in_part = np.eye(n_parts).take(parts, axis=0)  # vertex x part, 1 for its own part
-    counts = inc @ in_part
-    absent = counts == 0
-    push = (inc.T @ (lam * absent)).astype(np.int64).tolist()
-    for row, p in zip(push, parts):
-        row[p] = _OWN_PART
-    pull = ((inc.T @ (lam * (counts == 1))) * in_part).sum(axis=1).astype(np.int64).tolist()
-    connectivity = (n_parts - 1) * sum(level.lam) - sum(map(mul, level.lam, absent.sum(axis=1).tolist()))
-    return counts.astype(np.int64).tolist(), push, pull, connectivity
 
-def _move(level, v, q, parts, pw, psize, counts, push, pull, min_push=None, q_room=-1) -> int:
-    """Move v to part q, with its part weights, sizes and pin counts, and
-    return the change in connectivity.  Afterwards the counts, push rows
-    and pulls are exact for every vertex.  The rows of other vertices
+    __slots__ = ("parts", "pw", "psize", "counts", "push", "pull", "lam")
+
+    def __init__(self, level: _Level, parts: List[int], n_parts: int):
+        inc = level.incidence.astype(np.float64)
+        lam = np.array(level.lam, dtype=np.float64)[:, None]
+        in_part = np.eye(n_parts).take(parts, axis=0)  # vertex x part, 1 for its own part
+        counts = inc @ in_part
+        absent = counts == 0
+        self.push = push = (inc.T @ (lam * absent)).astype(np.int64).tolist()
+        for row, p in zip(push, parts):
+            row[p] = _OWN_PART
+        self.parts = parts
+        self.pw = _loads(level.vw, parts, n_parts)
+        self.psize = list(map(parts.count, range(n_parts)))
+        self.counts = counts.astype(np.int64).tolist()
+        self.pull = ((inc.T @ (lam * (counts == 1))) * in_part).sum(axis=1).astype(np.int64).tolist()
+        self.lam = (n_parts - 1) * sum(level.lam) - sum(map(mul, level.lam, absent.sum(axis=1).tolist()))
+
+def _move(level: _Level, g: _Gains, v: int, q: int, min_push=None, q_room=-1) -> None:
+    """Move v to part q and keep every field of ``g`` exact, the push
+    rows and pulls of every vertex included.  The rows of other vertices
     change only on hyperedges where a count crosses a critical value
     (Fiduccia & Mattheyses): the source count falls to 1 or 0, or the
     target count rises from 0 or 1.  v's own row is set from its values
@@ -346,6 +356,7 @@ def _move(level, v, q, parts, pw, psize, counts, push, pull, min_push=None, q_ro
     change.  A push into q that drops lowers ``min_push`` of a vertex
     weighing at most ``q_room``; the default -1 fits none."""
     pins, lam, vw = level.pins, level.lam, level.vw
+    parts, pw, psize, counts, push, pull = g.parts, g.pw, g.psize, g.counts, g.push, g.pull
     p = parts[v]
     row_v, pull_v = push[v], pull[v]
     push_vq = row_v[q]
@@ -386,20 +397,18 @@ def _move(level, v, q, parts, pw, psize, counts, push, pull, min_push=None, q_ro
                     pull[u] -= w_e
                     break
     row_v[p], row_v[q], pull[v] = pull_v, _OWN_PART, push_vq
-    return delta
+    g.lam += delta
 
-def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gains:
+def _rebalance(level: _Level, g: _Gains, cap: int) -> None:
     """Move vertices out of parts heavier than ``cap``, least connectivity
     loss ``push[v][q] - pull[v]`` first (ties to the lowest vertex, then
     part), into parts that stay within ``cap``, until every part fits or
-    no such move is left.  Returns what ``_tables`` gives for the final
-    ``parts``, for ``_refine`` to start from, as ``_move`` keeps every row
-    exact.  Feasible parts only gain weight up to ``cap``, so each vertex
-    moves at most once."""
+    no such move is left.  Each move goes through ``_move``, so ``g``
+    stays exact for ``_refine`` to start from.  Feasible parts only gain
+    weight up to ``cap``, so each vertex moves at most once."""
     n, vw = level.n, level.vw
-    pw = _loads(vw, parts, n_parts)
-    psize = list(map(parts.count, range(n_parts)))
-    counts, push, pull, connectivity = _tables(level, parts, n_parts)
+    parts, pw, psize, push, pull = g.parts, g.pw, g.psize, g.push, g.pull
+    n_parts = len(pw)
     while max(pw) > cap:
         best = None
         for v in range(n):
@@ -414,23 +423,18 @@ def _rebalance(level: _Level, parts: List[int], n_parts: int, cap: int) -> _Gain
         if best is None:
             break
         _, v, q = best
-        connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull)
-    return counts, push, pull, connectivity
+        _move(level, g, v, q)
 
-def _refine(
-    level: _Level, parts: List[int], n_parts: int, cap: int, max_passes: int = _MAX_PASSES,
-    tables: Optional[_Gains] = None,
-) -> List[int]:
-    """FM passes until no pass improves; returns the connectivity before
-    the first pass and after each pass that gained, so its last entry is
-    the connectivity of ``parts`` on return.
+def _refine(level: _Level, g: _Gains, cap: int, max_passes: int = _MAX_PASSES) -> List[int]:
+    """FM passes on ``g`` until no pass improves; returns the connectivity
+    before the first pass and after each pass that gained, so its last
+    entry is ``g.lam`` on return.
 
-    Move gains are kept as pull (edges where the vertex is alone in its
-    part) minus push (edges absent from the target part), with the part
-    counts: ``tables`` if handed in for these ``parts`` (``_rebalance``
-    does), else ``_tables``'s.  ``_move`` keeps them exact through every
-    pass, the moves past the best prefix included, which it undoes in
-    reverse order, so on return they are the tables of ``parts``.
+    Move gains are pull (edges where the vertex is alone in its part)
+    minus push (edges absent from the target part), read from ``g``.
+    ``_move`` keeps ``g`` exact through every pass, the moves past the
+    best prefix included, which it undoes in reverse order, so on return
+    ``g`` is the exact state of its refined partition.
 
     Each move takes the highest gain among targets within the cap, ties
     to the lowest vertex and then the lowest part.  A vertex is scanned
@@ -444,10 +448,9 @@ def _refine(
     n, vw = level.n, level.vw
     by_weight, sorted_w = level.by_weight, level.sorted_w
     max_w = sorted_w[-1]
-    pw = _loads(vw, parts, n_parts)
-    psize = list(map(parts.count, range(n_parts)))
-    counts, push, pull, cur_lam = tables or _tables(level, parts, n_parts)
-    history = [cur_lam]
+    parts, pw, psize, push, pull = g.parts, g.pw, g.psize, g.push, g.pull
+    n_parts = len(pw)
+    history = [g.lam]
     neg_inf = -(1 << 62)
 
     for _ in range(max_passes):
@@ -456,9 +459,8 @@ def _refine(
         min_push = list(map(min, push))
         free = list(range(n))  # vertices not yet moved in this pass, ascending
         moves: List[Tuple[int, int]] = []
-        pass_lam = cur_lam
         best_idx = -1
-        best_lam = cur_lam
+        best_lam = g.lam
         since_best = 0
         while True:
             pick_v, pick_q, pick_g = -1, -1, neg_inf
@@ -475,9 +477,9 @@ def _refine(
                     if pq < mn and pw[q] <= room:
                         mn, mq = pq, q
                 min_push[v] = mn
-                g = pull[v] - mn
-                if g > pick_g:
-                    pick_v, pick_q, pick_g = v, mq, g
+                gain = pull[v] - mn
+                if gain > pick_g:
+                    pick_v, pick_q, pick_g = v, mq, gain
             if pick_v == -1:
                 break
             v, q = pick_v, pick_q
@@ -486,15 +488,15 @@ def _refine(
             w_v = vw[v]
             p_room = cap - pw[p]
             q_room = cap - pw[q] - w_v  # heaviest vertex that fits in q after the move
-            pass_lam += _move(level, v, q, parts, pw, psize, counts, push, pull, min_push, q_room)
+            _move(level, g, v, q, min_push, q_room)
             if max_w > p_room:
                 # vertices weighing (p_room, p_room + w_v] fit in p only now
                 for u in by_weight[bisect_right(sorted_w, p_room):bisect_right(sorted_w, p_room + w_v)]:
                     if push[u][p] < min_push[u]:
                         min_push[u] = push[u][p]
             moves.append((v, p))
-            if pass_lam < best_lam:
-                best_lam = pass_lam
+            if g.lam < best_lam:
+                best_lam = g.lam
                 best_idx = len(moves) - 1
                 since_best = 0
             else:
@@ -502,11 +504,10 @@ def _refine(
                 if since_best >= _STALL_LIMIT:
                     break
         for v, p in reversed(moves[best_idx + 1:]):
-            _move(level, v, p, parts, pw, psize, counts, push, pull)
+            _move(level, g, v, p)
         if best_idx == -1:
             break
-        cur_lam = best_lam
-        history.append(cur_lam)
+        history.append(g.lam)
     return history
 
 @lru_cache(maxsize=8)
@@ -592,17 +593,16 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     ]
     starts = []
     for cparts in candidates:
-        tables = _rebalance(coarsest, cparts, n_parts, cap)
-        lam = tables[3]
+        g = _Gains(coarsest, cparts, n_parts)
+        _rebalance(coarsest, g, cap)
         if len(levels) == 1:
             # no finer level follows to do the real work, so each start is
             # refined before the ranking; otherwise it is ranked as rebalanced
-            lam = _refine(coarsest, cparts, n_parts, cap, max_passes=_START_PASSES, tables=tables)[-1]
-            tables = (*tables[:3], lam)  # refined in place
-        heaviest = max(_loads(coarsest.vw, cparts, n_parts))
-        starts.append(((heaviest > cap, lam, heaviest), cparts, tables))
+            _refine(coarsest, g, cap, max_passes=_START_PASSES)
+        heaviest = max(g.pw)
+        starts.append(((heaviest > cap, g.lam, heaviest), g))
     # feasible first, then the least connectivity, ties to the earlier start
-    _, parts, tables = min(starts, key=lambda start: start[0])
+    _, g = min(starts, key=lambda start: start[0])
 
     # One walk, coarsest level first.  Coarse vertices pack worse than fine
     # ones, so until a level fits, its projection is rebalanced and skipped
@@ -612,22 +612,21 @@ def partition(h: Hypergraph, n_parts: int, eps: float, seed: int = 0) -> Partiti
     for idx in range(len(levels) - 1, -1, -1):
         level = levels[idx]
         if level is not coarsest:
-            parts = [parts[c] for c in levels[idx + 1].fine_map]
+            g = _Gains(level, [g.parts[c] for c in levels[idx + 1].fine_map], n_parts)
             if not history:
-                tables = _rebalance(level, parts, n_parts, cap)
-        if not history and max(_loads(level.vw, parts, n_parts)) > cap:
+                _rebalance(level, g, cap)
+        if not history and max(g.pw) > cap:
             if idx:
                 continue
             lpt = _initial_lpt(level, n_parts)
             if max(_loads(level.vw, lpt, n_parts)) <= cap:
-                parts, tables = lpt, None
-        history.extend(_refine(level, parts, n_parts, cap, tables=tables))
-        tables = None
+                g = _Gains(level, lpt, n_parts)
+        history.extend(_refine(level, g, cap))
 
-    imbalance = load_imbalance(h, parts, n_parts)
+    imbalance = load_imbalance(h, g.parts, n_parts)
     # load_imbalance is 1.0 at zero total weight, never over a tolerance
     best_effort = imbalance > eps * (1 + 1e-12)
-    return Partition(tuple(parts), n_parts, eps, history[-1], imbalance, best_effort, tuple(history))
+    return Partition(tuple(g.parts), n_parts, eps, g.lam, imbalance, best_effort, tuple(history))
 
 def write_hmetis(h: Hypergraph, path: str | Path) -> None:
     """Text export: header, one weighted pin line per hyperedge

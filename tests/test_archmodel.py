@@ -188,6 +188,9 @@ def test_elaborate_rejects_bad_arguments():
         {"staging_prob": 1.5},
         {"input_spatial": True},
         {"bytes_per_element": True},
+        # zero made the score divide by zero, and a negative count negative transfers
+        {"bytes_per_element": 0},
+        {"bytes_per_element": -4},
         {"input_spatial": True, "input_channels": True, "channel_limit": True, "bytes_per_element": True},
     ):
         with pytest.raises(ValueError):

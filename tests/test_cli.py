@@ -225,6 +225,12 @@ def _add_flops(delta):
     return _edit(lambda doc: _block(doc).update(flops=_block(doc)["flops"] + delta))
 
 
+def _zero_bytes(doc):
+    doc["elaboration"]["bytes_per_element"] = 0
+    for edge in doc["edge_bytes"]:
+        edge[2] = 0
+
+
 def _reverse_block_edge(doc):
     """Add the reverse of the first block-to-block edge: a two-cycle."""
     u, v = next((u, v) for u, v in doc["directed_edges"] if doc["kinds"][u] == doc["kinds"][v] == "block")
@@ -356,6 +362,8 @@ CONTRACT = {
     "arch-channels-text": (("simulate",), None, _edit(lambda doc: _block(doc).update(channels="x")), 2, "i/o error:"),
     "arch-edge-bytes-row-dropped": (("partition",), None, _edit(lambda doc: doc["edge_bytes"].pop()), 2, "i/o error:"),
     "arch-cycle": (("simulate",), None, _edit(_reverse_block_edge), 2, "i/o error:"),
+    # a file whose byte counts all agree with zero bytes per element
+    "arch-bytes-per-element-0": (("score", "--units", "2"), None, _edit(_zero_bytes), 2, "i/o error:"),
     "sweep-ws-k-names-family": (("sweep", "--n", "6"), None, None, 1, "usage error: ws generator, set by --ws-k=6"),
     "arch-with-generator-flags-simulate": (
         ("simulate", "--kind", "er", "--p", "0.9", "--channels", "8"), None, _UNCHANGED, 1,

@@ -6,9 +6,10 @@ oracle at small sizes.  The FM refiner that rescans every unpruned
 vertex row before each move, with a bound that ignores the cap, is kept
 below as the reference: the library's ``_refine`` must return equal
 results on every input.  The Python build of the gain tables is the
-reference for the numpy kernel ``_tables``, and the rebalance that keeps
-its own pin counts is the reference for ``_rebalance``, whose tables
-must equal that build's.  Likewise a coarsening that
+reference for the numpy kernel that builds a ``_Gains`` state, and the
+rebalance that keeps its own pin counts is the reference for
+``_rebalance``; after every build, move, rebalance and refinement the
+whole state must equal a fresh recount.  Likewise a coarsening that
 builds a fresh hierarchy for every part count is the reference for the
 levels that ``_hierarchy`` shares between part counts.
 """
@@ -29,11 +30,11 @@ from concnas.hypart import (
     _OWN_PART,
     _STALL_LIMIT,
     Hypergraph,
+    _Gains,
     _Level,
     _move,
     _rebalance,
     _refine,
-    _tables,
     build_hypergraph,
     load_imbalance,
     part_weights,
@@ -299,6 +300,26 @@ def test_hypergraph_needs_one_weight_per_vertex():
         Hypergraph(n_vertices=3, pins=((0, 1),), weights=(1,), vertex_weights=(1, 1))
 
 
+def test_hypergraph_needs_one_order_hint_per_vertex():
+    # a short hint made partition raise IndexError; a long one was ignored
+    pins = tuple((v, v + 1) for v in range(29))
+    for hint in ((0,), tuple(range(31))):
+        with pytest.raises(ValueError, match="one order hint per vertex"):
+            Hypergraph(n_vertices=30, pins=pins, weights=(1,) * 29, vertex_weights=(1,) * 30, order_hint=hint)
+
+
+def test_part_ids_outside_the_part_count_rejected():
+    # -1 used to wrap to the last part, and n_parts to raise IndexError
+    h = chain_hypergraph(4, weight=10)
+    weightless = Hypergraph(n_vertices=2, pins=((0, 1),), weights=(1,), vertex_weights=(0, 0))
+    for graph, parts in ((h, [0, 0, -1, -1]), (h, [0, 0, 2, 2]), (weightless, [0, 2])):
+        for measure in (part_weights, load_imbalance):
+            with pytest.raises(ValueError, match="part ids"):
+                measure(graph, parts, 2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        part_weights(h, [0, 1], 2)
+
+
 def test_heavy_vertex_forces_best_effort():
     h = Hypergraph(
         n_vertices=4,
@@ -528,10 +549,10 @@ def reference_refine(level, parts, n_parts, cap, max_passes=_MAX_PASSES):
 
 
 def reference_tables(level, parts, n_parts):
-    """The Python build of ``_tables``: part counts per hyperedge, the
-    connectivity, and push rows that start at each vertex's incident
-    hyperedge weight and subtract every hyperedge once per part it
-    touches."""
+    """The Python build of a ``_Gains`` state's tables: part counts per
+    hyperedge, the connectivity, and push rows that start at each
+    vertex's incident hyperedge weight and subtract every hyperedge once
+    per part it touches."""
     n, pins, lam = level.n, level.pins, level.lam
     ve = level.ve
     counts = [[0] * n_parts for _ in pins]
@@ -559,6 +580,18 @@ def reference_tables(level, parts, n_parts):
         push.append(pu)
         pull[v] = acc
     return counts, push, pull, connectivity
+
+
+def assert_exact(level, g, context):
+    """Every field of ``g`` equals a recount from ``g.parts``: the tables
+    and the connectivity by ``repr``, which also tells an int from an
+    equal float, and the part weights and sizes."""
+    n_parts = len(g.pw)
+    assert repr((g.counts, g.push, g.pull, g.lam)) == repr(reference_tables(level, g.parts, n_parts)), context
+    pw = [0] * n_parts
+    for v, p in enumerate(g.parts):
+        pw[p] += level.vw[v]
+    assert repr((g.pw, g.psize)) == repr((pw, list(map(g.parts.count, range(n_parts))))), context
 
 
 def reference_rebalance(level, parts, n_parts, cap):
@@ -667,12 +700,12 @@ def test_refine_matches_reference_on_random_levels():
             passes = rng.choice(pass_choices)
             ref_parts, new_parts = list(parts), list(parts)
             lam, history = reference_refine(level, ref_parts, n_parts, cap, passes)
-            tables = _tables(level, new_parts, n_parts)
-            assert _refine(level, new_parts, n_parts, cap, passes, tables=tables) == history, (h, parts, cap)
+            g = _Gains(level, new_parts, n_parts)
+            assert _refine(level, g, cap, passes) == history, (h, parts, cap)
             assert history[-1] == lam
             assert new_parts == ref_parts
-            # refined in place, the tables are those of the returned parts
-            assert repr(tables[:3]) == repr(reference_tables(level, new_parts, n_parts)[:3]), (h, parts, cap)
+            # refined in place, g is the exact state of the returned parts
+            assert_exact(level, g, (h, parts, cap))
 
 
 def test_tables_match_reference_on_random_levels():
@@ -697,8 +730,7 @@ def test_tables_match_reference_on_random_levels():
         for _ in range(3):
             n_parts = rng.randrange(2, min(n, 16) + 1)
             parts = [rng.randrange(n_parts) for _ in range(n)]
-            # repr also tells an int from an equal float
-            assert repr(_tables(level, parts, n_parts)) == repr(reference_tables(level, parts, n_parts)), (n, pins, lam, parts)
+            assert_exact(level, _Gains(level, parts, n_parts), (n, pins, lam, parts))
 
 
 def test_rebalance_matches_reference_on_random_levels():
@@ -719,20 +751,19 @@ def test_rebalance_matches_reference_on_random_levels():
         )
         ref_parts, new_parts = list(parts), list(parts)
         reference_rebalance(level, ref_parts, n_parts, cap)
-        tables = _rebalance(level, new_parts, n_parts, cap)
+        g = _Gains(level, new_parts, n_parts)
+        _rebalance(level, g, cap)
         assert new_parts == ref_parts, (h, parts, cap)
-        # repr also tells an int from an equal float
-        assert repr(tables) == repr(reference_tables(level, new_parts, n_parts)), (h, parts, cap)
+        assert_exact(level, g, (h, parts, cap))
         moved += new_parts != parts
     assert moved > 300
 
 
 def test_move_keeps_every_row_exact():
-    """``_move`` keeps every row, the mover's own included, equal to a
-    fresh build of the tables, and its summed deltas equal to the
-    connectivity; ``_rebalance`` hands its tables on without a rebuild,
-    and ``_refine`` undoes moves and starts each pass without one, so
-    both rely on this."""
+    """``_move`` keeps every field of the state exact: every row, the
+    mover's own included, the connectivity, the part weights and sizes;
+    ``_rebalance`` and ``_refine`` update one state with no rebuild, and
+    ``_refine`` undoes moves with ``_move``, so both rely on this."""
     rng = random.Random(0x30E5)
     for _ in range(300):
         h = random_weighted_hypergraph(rng, 40)
@@ -740,36 +771,33 @@ def test_move_keeps_every_row_exact():
         level = _Level(n, [list(p) for p in h.pins], list(h.weights), list(h.vertex_weights), list(range(n)))
         n_parts = rng.randrange(2, min(n, 8) + 1)
         parts = [rng.randrange(n_parts) for _ in range(n)]
-        pw = part_weights(h, parts, n_parts)
-        psize = list(map(parts.count, range(n_parts)))
-        counts, push, pull, connectivity = _tables(level, parts, n_parts)
+        g = _Gains(level, parts, n_parts)
         for _ in range(rng.randrange(1, 6)):
             v = rng.randrange(n)
             q = rng.choice([t for t in range(n_parts) if t != parts[v]])
-            connectivity += _move(level, v, q, parts, pw, psize, counts, push, pull)
-            # repr also tells an int from an equal float
-            assert repr((counts, push, pull, connectivity)) == repr(reference_tables(level, parts, n_parts)), (h, v, q)
-            assert pw == part_weights(h, parts, n_parts) and psize == list(map(parts.count, range(n_parts)))
+            assert _move(level, g, v, q) is None
+            assert_exact(level, g, (h, v, q))
 
 
 def test_partition_kernel_calls_bounded(monkeypatch):
-    """The gain-table kernel runs about 50 us a call, a fixed numpy cost; a
-    change that adds a call per rebalance (or per pass) shows up here as
-    a count, before it shows up as time.  The bound is the count with
-    ``_refine`` taking the tables that ``_rebalance`` hands it and keeping
-    them exact through every pass; rebuilding them at the start of each
-    pass after the first makes 1,662 calls here.
+    """The gain-table kernel that builds a ``_Gains`` state runs about
+    50 us a call, a fixed numpy cost; a change that adds a build per
+    rebalance (or per pass) shows up here as a count, before it shows up
+    as time.  The bound is the count with one state per start and per
+    projection, which ``_rebalance`` and ``_refine`` update and keep exact
+    through every pass; rebuilding it at the start of each pass after the
+    first makes 1,662 builds here.
 
     ``_refine`` calls are bounded too: where a finer level follows, only
     the winning coarsest-level start is refined.  Refining every start
     first, as a hypergraph that does not coarsen still does, makes 975
     calls here.
 
-    On a hypergraph that does not coarsen, each start's rebalance runs the
-    kernel once, and its refinements, the winner's last one included, take
-    those tables on: 3 calls per partition.  Only the finest-level LPT
-    fallback, for a winning start over the cap, would add a fourth."""
-    calls = {"_tables": 0, "_refine": 0}
+    On a hypergraph that does not coarsen, each start's state is built
+    once, and its rebalance and refinements, the winner's last one
+    included, update it: 3 builds per partition.  Only the finest-level
+    LPT fallback, for a winning start over the cap, would add a fourth."""
+    calls = {"_Gains": 0, "_refine": 0}
 
     def counting(name):
         layer = getattr(hypart, name)
@@ -789,14 +817,14 @@ def test_partition_kernel_calls_bounded(monkeypatch):
             for n_parts in cfg.units:
                 for i, eps in enumerate(cfg.eps_grid):
                     partition(h, n_parts, eps, seed=i)
-    assert calls["_tables"] <= 1082, calls
+    assert calls["_Gains"] <= 1082, calls
     assert calls["_refine"] <= 473, calls
 
     per_partition = []
     for case in single_level_cases():
-        before = calls["_tables"]
+        before = calls["_Gains"]
         partition(*case)
-        per_partition.append(calls["_tables"] - before)
+        per_partition.append(calls["_Gains"] - before)
     assert per_partition == [3] * 200, per_partition
 
 
@@ -846,10 +874,15 @@ def test_partition_matches_reference_refiner(monkeypatch):
     got = [partition(*case) for case in cases]
     assert hashlib.sha256(repr([(p.parts, p.lam_history) for p in got]).encode()).hexdigest() == MULTILEVEL_HISTORY_SHA256
     # _refine returns its history alone, whose last entry is the oracle's lam;
-    # the oracle builds its own tables, so the ones _rebalance hands on are dropped
-    monkeypatch.setattr(
-        hypart, "_refine", lambda *args, tables=None, **kwargs: reference_refine(*args, **kwargs)[1]
-    )
+    # the oracle refines g.parts with its own tables, so g is rebuilt from them
+    def refine_by_reference(level, g, cap, max_passes=_MAX_PASSES):
+        history = reference_refine(level, g.parts, len(g.pw), cap, max_passes)[1]
+        fresh = _Gains(level, g.parts, len(g.pw))
+        for name in _Gains.__slots__:
+            setattr(g, name, getattr(fresh, name))
+        return history
+
+    monkeypatch.setattr(hypart, "_refine", refine_by_reference)
     for case, p in zip(cases, got):
         assert partition(*case) == p, case
 
